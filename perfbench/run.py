@@ -128,9 +128,9 @@ def measure(workload, run_command, seconds: float) -> Tally:
 
 
 def measure_traced(workload, run_command, seconds: float, tracer) -> tuple[Tally, Tally]:
-    """Rounds in blocks of untraced, traced, traced, untraced, so that drift
-    in CPU speed and the first round's warm-up fall on both sides; whole
-    blocks until ``seconds`` have passed.  Returns (untraced, traced)."""
+    """Rounds in blocks of untraced, traced, traced, untraced, so that a
+    steady drift in CPU speed weighs on both sides alike; whole blocks until
+    ``seconds`` have passed.  Returns (untraced, traced)."""
     plain, traced = Tally(), Tally()
     traced_run = tracer.wrap("cli", "run_command", run_command)
     start = perf_counter()
