@@ -4,8 +4,9 @@ The two grid deciders are deliberately distinct implementations (plain BFS
 vs. bitmap fixpoint) so they can differentially test each other.  The
 threshold W is the bound above which reachability and box-reachability
 coincide for 2-dimensional systems; ``synthesize_box_witness`` rebuilds the
-corresponding constructive proof, emitting an actual box-reaching path that
-is re-verified before being returned.
+corresponding constructive proof, emitting an actual box-reaching path.
+Every witness is walked once, where its ``PathRecord`` is built, and that
+record's fields are checked before the witness is returned.
 """
 from __future__ import annotations
 
@@ -20,9 +21,11 @@ from .core import (
     Vector,
     check_target,
     dot,
+    # the next three are not called here; perfbench/tracing.py patches them
     effect,
     is_box_reaching_trace,
     is_valid_n_trace,
+    vec_le,
     vec_scale,
     vec_sub,
 )
@@ -101,7 +104,7 @@ def _bundle(
     vas: VasSystem, indices: Sequence[int], target: Vector, method: WitnessMethod
 ) -> WitnessBundle:
     record = PathRecord.record(vas, indices)
-    if not is_box_reaching_trace(vas, record.indices, target):
+    if not record.box_reaches(target):
         raise InternalCheckError(
             f"constructed witness does not box-reach {target}"
         )
@@ -142,9 +145,7 @@ def decide_reach_capped(
         if path is None:
             return False, None
         record = PathRecord.record(vas, path)
-        if effect(vas, record.indices) != t or not is_valid_n_trace(
-            vas, record.indices, (0,) * vas.dim
-        ):
+        if record.effect != t or any(record.drop) or not vec_le(record.peak, c):
             raise InternalCheckError("capped witness failed re-verification")
         return True, WitnessBundle(record, t, WitnessMethod.BFS_SEARCH)
     bitmap = reachable_bitmap(vas.generators, c, node_budget)
@@ -245,12 +246,13 @@ def compute_threshold(
     n = vas.norm
     cone = cone_from_generators(vas)
 
-    if cone.kind is ConeKind.ZERO_ONLY:
+    if not any(any(g) and min(g) >= 0 for g in vas.generators):
+        # no first step stays in the quadrant, so only 0 is reachable
         return ThresholdReport(
             0,
             ThresholdCase.DEGENERATE,
             m_used,
-            "reach = {0}; W vacuous",
+            "no nonzero nonnegative generator; reach = {0}, W vacuous",
             degenerate=True,
         )
     if cone.quadrant_relation is QuadrantRelation.CONTAINED_IN_QUADRANT:
@@ -261,15 +263,7 @@ def compute_threshold(
             "all generators nonnegative; W = 0",
         )
     if cone.kind in (ConeKind.RAY, ConeKind.LINE):
-        steps = _one_dim_steps(vas)
-        if steps is None or not any(a > 0 for a in steps):
-            return ThresholdReport(
-                0,
-                ThresholdCase.DEGENERATE,
-                m_used,
-                "one-dimensional with no positive direction; reach = {0}",
-                degenerate=True,
-            )
+        # the nonzero nonnegative generator gives the projection a positive step
         one = one_vas_threshold(vas)
         return ThresholdReport(
             one.m1,
@@ -322,7 +316,8 @@ def _axis_flip(vas: VasSystem) -> VasSystem:
 def _positive_facet(cone: ConeData) -> tuple[Vector, Vector]:
     """(chi, facet) for the strictly positive extremal of an
     intersects-quadrant cone."""
-    assert cone.chi1 is not None and cone.chi2 is not None
+    if cone.chi1 is None or cone.chi2 is None:
+        raise InternalCheckError("intersects-quadrant cone without extremals")
     for chi, f in zip((cone.chi1, cone.chi2), cone.facets):
         if chi[0] > 0 and chi[1] > 0:
             return chi, f
@@ -368,14 +363,15 @@ def synthesize_box_witness(
                 f"coefficients sum to {acc}, not the target {t}"
             )
     else:
-        assert path is not None
-        vas.check_path(path)
-        if effect(vas, path) != t:
+        if path is None:
+            raise InternalCheckError("neither coefficients nor path as evidence")
+        evidence = PathRecord.record(vas, path)
+        if evidence.effect != t:
             raise PreconditionError("evidence path does not end at the target")
-        if not is_valid_n_trace(vas, path, (0, 0)):
+        if any(evidence.drop):
             raise PreconditionError("evidence path leaves the nonnegative quadrant")
         counts = [0] * len(vas.generators)
-        for i in path:
+        for i in evidence.indices:
             counts[i] += 1
 
     report = compute_threshold(vas, m)

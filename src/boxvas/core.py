@@ -4,10 +4,14 @@ All arithmetic uses Python ints (arbitrary precision).  Paths are stored as
 sequences of generator indices, never as raw vectors, so a witness always
 refers back to a concrete system instance.  The empty path is legal and has
 effect zero.
+
+``walk`` is the one path kernel: a single pass that checks every index and
+returns (effect, drop, peak).  ``PathRecord.record`` and the path predicates
+are read off it; ``prefix_effects`` keeps its own loop to yield each prefix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -73,21 +77,39 @@ class VasSystem:
         """The quantity d * sum over generators of the infinity norm."""
         return self.dim * sum(inf_norm(g) for g in self.generators)
 
-    def check_path(self, path: Sequence[int]) -> None:
-        n = len(self.generators)
-        for i in path:
-            if not 0 <= i < n:
-                raise MalformedPathError(
-                    f"path index {i} out of range for {n} generators"
-                )
 
-    def step(self, index: int) -> Vector:
-        return self.generators[index]
+def walk(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector, Vector]:
+    """(effect, drop, peak) of ``path`` in one pass.  Per coordinate, drop is
+    minus the least prefix effect and peak the greatest; the empty prefix
+    counts, so both are >= 0.  An index outside [0, n) raises, negatives too."""
+    gens = vas.generators
+    n = len(gens)
+    coords = range(vas.dim)
+    acc = [0] * vas.dim
+    lo = [0] * vas.dim
+    hi = [0] * vas.dim
+    for i in path:
+        if not 0 <= i < n:
+            raise MalformedPathError(
+                f"path index {i} out of range for {n} generators"
+            )
+        g = gens[i]
+        for k in coords:
+            a = acc[k] + g[k]
+            acc[k] = a
+            if a < lo[k]:
+                lo[k] = a
+            elif a > hi[k]:
+                hi[k] = a
+    return tuple(acc), tuple(-x for x in lo), tuple(hi)
 
 
 def prefix_effects(vas: VasSystem, path: Sequence[int]) -> Iterator[Vector]:
     """Yield the effects of all prefixes of ``path``, starting with the empty one."""
-    vas.check_path(path)
+    n = len(vas.generators)
+    bad = next((i for i in path if not 0 <= i < n), None)
+    if bad is not None:
+        raise MalformedPathError(f"path index {bad} out of range for {n} generators")
     acc = zero_vector(vas.dim)
     yield acc
     for i in path:
@@ -97,67 +119,31 @@ def prefix_effects(vas: VasSystem, path: Sequence[int]) -> Iterator[Vector]:
 
 def effect(vas: VasSystem, path: Sequence[int]) -> Vector:
     """Sum of the generators along ``path``; the empty path has effect zero."""
-    vas.check_path(path)
-    acc = [0] * vas.dim
-    for i in path:
-        g = vas.generators[i]
-        for k in range(vas.dim):
-            acc[k] += g[k]
-    return tuple(acc)
+    return walk(vas, path)[0]
 
 
 def drop_peak(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector]:
-    """Per-coordinate (drop, peak) over all prefixes of ``path``.
-
-    drop_k is the absolute value of the minimum prefix effect in coordinate k
-    (0 for the empty prefix), peak_k the maximum prefix effect.  Both are
-    always nonnegative.
-    """
-    vas.check_path(path)
-    lo = [0] * vas.dim
-    hi = [0] * vas.dim
-    acc = [0] * vas.dim
-    for i in path:
-        g = vas.generators[i]
-        for k in range(vas.dim):
-            acc[k] += g[k]
-            if acc[k] < lo[k]:
-                lo[k] = acc[k]
-            elif acc[k] > hi[k]:
-                hi[k] = acc[k]
-    return tuple(-x for x in lo), tuple(hi)
+    """Per-coordinate (drop, peak) over all prefixes of ``path``; see ``walk``."""
+    return walk(vas, path)[1:]
 
 
 def overshoot(vas: VasSystem, path: Sequence[int]) -> Vector:
     """Per coordinate, peak minus effect: by how much the path exceeds its target."""
-    eff = effect(vas, path)
-    _, peak = drop_peak(vas, path)
+    eff, _, peak = walk(vas, path)
     return vec_sub(peak, eff)
 
 
 def is_valid_n_trace(vas: VasSystem, path: Sequence[int], start: Vector) -> bool:
     """True iff every prefix effect added to ``start`` stays componentwise >= 0."""
-    start = tuple(start)
-    return all(
-        all(s + e >= 0 for s, e in zip(start, p)) for p in prefix_effects(vas, path)
-    )
+    return vec_le(walk(vas, path)[1], tuple(start))
 
 
 def is_box_reaching_trace(vas: VasSystem, path: Sequence[int], target: Vector) -> bool:
-    """True iff ``path`` runs from 0 to ``target`` staying inside [0, target].
-
-    Every prefix effect must be componentwise between 0 and ``target``, and
-    the total effect must equal ``target``.
-    """
+    """True iff ``path`` runs from 0 to ``target`` staying inside [0, target]."""
     target = tuple(target)
     if len(target) != vas.dim:
         raise ValueError("target dimension mismatch")
-    last = None
-    for p in prefix_effects(vas, path):
-        if not all(0 <= e <= t for e, t in zip(p, target)):
-            return False
-        last = p
-    return last == target
+    return PathRecord.record(vas, path).box_reaches(target)
 
 
 def check_target(target: Sequence[int], dim: int) -> Vector:
@@ -182,9 +168,17 @@ class PathRecord:
     @classmethod
     def record(cls, vas: VasSystem, indices: Iterable[int]) -> "PathRecord":
         idx = tuple(indices)
-        eff = effect(vas, idx)
-        dr, pk = drop_peak(vas, idx)
+        eff, dr, pk = walk(vas, idx)
         return cls(indices=idx, effect=eff, drop=dr, peak=pk)
+
+    def box_reaches(self, target: Vector) -> bool:
+        """True iff the path runs from 0 to ``target`` inside [0, target]:
+        effect ``target``, drop 0 and peak at most ``target``."""
+        return (
+            self.effect == tuple(target)
+            and not any(self.drop)
+            and vec_le(self.peak, target)
+        )
 
     def __len__(self) -> int:
         return len(self.indices)

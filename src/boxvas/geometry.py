@@ -22,7 +22,7 @@ from .core import (
     Vector,
     dot,
     inf_norm,
-    is_box_reaching_trace,
+    is_box_reaching_trace,  # not called here; perfbench/tracing.py patches it
     vec_scale,
     vec_sub,
 )
@@ -190,7 +190,8 @@ def _quadrant_relation(
             # both unit axes satisfy every facet, so the quadrant is inside
             return QuadrantRelation.CONTAINS_QUADRANT
     if kind is ConeKind.PROPER_CONE:
-        assert chi1 is not None and chi2 is not None
+        if chi1 is None or chi2 is None:
+            raise InternalCheckError("proper cone without extremals")
         if chi2[0] > 0 and chi2[1] > 0 and chi1[0] <= 0:
             return QuadrantRelation.INTERSECTS_VIA_Y_AXIS_SIDE
         if chi1[0] > 0 and chi1[1] > 0 and chi2[1] <= 0:
@@ -432,7 +433,8 @@ def _signed_line_rep(m: int, multiples: Sequence[int]) -> list[int] | None:
     reduced = [c % width for c in combo]
     leftover = m - sum(c * a for c, a in zip(reduced, multiples))
     # each coefficient moved by a multiple of |nval|, so leftover is too
-    assert leftover % width == 0
+    if leftover % width:
+        raise InternalCheckError("signed line leftover is not a multiple")
     x, y = _solve_two_coin(leftover, p, nval)
     reduced[ip] += x
     reduced[iq] += y
@@ -446,7 +448,8 @@ def _signed_line_rep(m: int, multiples: Sequence[int]) -> list[int] | None:
 def _solve_two_coin(m: int, p: int, n: int) -> tuple[int, int]:
     """Nonnegative (x, y) with x*p + y*n = m, given p > 0 > n and gcd | m."""
     g = gcd(p, -n)
-    assert m % g == 0
+    if m % g:
+        raise InternalCheckError(f"{m} is not a multiple of gcd {g}")
     # extended gcd for x0*p + y0*n = g
     a, b = p, n
     xa, ya, xb, yb = 1, 0, 0, 1
@@ -547,7 +550,8 @@ def _int_cone_proper(
     nonzero: list[tuple[int, Vector]],
     budget: int,
 ) -> IntConeResult:
-    assert cone.chi1 is not None and cone.chi2 is not None
+    if cone.chi1 is None or cone.chi2 is None:
+        raise InternalCheckError("proper cone without extremals")
     i1 = next(i for i, g in nonzero if _primitive(g) == cone.chi1)
     i2 = next(i for i, g in nonzero if _primitive(g) == cone.chi2)
     u1 = vas.generators[i1]
@@ -618,7 +622,8 @@ def _int_cone_half_plane(
     interior = [(i, g) for i, g in nonzero if dot(f, g) > 0]
     b = _primitive(boundary[0][1])
     b_mults = [_line_multiple(b, g) for _, g in boundary]
-    assert all(m is not None for m in b_mults)
+    if None in b_mults:
+        raise InternalCheckError("boundary generator off the boundary line")
     g_b = 0
     for m in b_mults:
         g_b = gcd(g_b, m)  # type: ignore[arg-type]
@@ -637,7 +642,8 @@ def _int_cone_half_plane(
     x0, y0 = b
     s, t = _bezout(x0, y0)  # s*x0 + t*y0 = 1 since b is primitive
     p = (-t, s)
-    assert cross(b, p) == 1
+    if cross(b, p) != 1:
+        raise InternalCheckError(f"({b}, {p}) is not a unimodular basis")
 
     def psi(z: Vector) -> int:
         return cross(z, p)
@@ -679,7 +685,8 @@ def _int_cone_half_plane(
         counts[j] += 1
     # pad the remaining height in whole k0-blocks of the smallest coin, which
     # add `period` height each and preserve the psi residue
-    assert (height - dist[target_key]) % period == 0
+    if (height - dist[target_key]) % period:
+        raise InternalCheckError("remaining height is not whole blocks")
     counts[j0] += (height - dist[target_key]) // period * k0
 
     used = (0, 0)
@@ -737,7 +744,8 @@ def _int_cone_with(
         return IntConeResult(Membership.NON_MEMBER)
     if cone.kind is ConeKind.RAY:
         b = cone.chi1
-        assert b is not None
+        if b is None:
+            raise InternalCheckError("one-dimensional cone without direction")
         m_v = _line_multiple(b, v)
         if m_v is None or m_v < 0:
             return IntConeResult(Membership.NON_MEMBER)
@@ -750,7 +758,8 @@ def _int_cone_with(
         return _finish(vas, v, {i: c for (i, _), c in zip(nonzero, rep) if c})
     if cone.kind is ConeKind.LINE:
         b = cone.chi1
-        assert b is not None
+        if b is None:
+            raise InternalCheckError("one-dimensional cone without direction")
         m_v = _line_multiple(b, v)
         if m_v is None:
             return IntConeResult(Membership.NON_MEMBER)
@@ -851,10 +860,10 @@ def compute_seed(vas: VasSystem) -> SeedVector:
         seed = SeedVector(s=s, s_pos=s_pos, witness=witness, repeat=repeat)
         if not (s[0] >= 1 and s[1] >= 1):
             raise InternalCheckError(f"seed {s} is not strictly positive")
-        if not is_box_reaching_trace(vas, witness.indices, s):
+        # repeat copies of a path that box-reaches s >= 0 box-reach
+        # repeat * s, so the repeated witness needs no walk of its own
+        if not witness.box_reaches(s):
             raise InternalCheckError(f"seed witness does not box-reach {s}")
-        if not is_box_reaching_trace(vas, seed.pos_witness_indices(), s_pos):
-            raise InternalCheckError(f"repeated witness does not box-reach {s_pos}")
         if not (s_pos[0] >= repeat and s_pos[1] >= repeat):
             raise InternalCheckError("scaled seed lost its lower bound")
         if inf_norm(s_pos) > 8 * vas.norm**3:
@@ -892,7 +901,8 @@ def compute_seed(vas: VasSystem) -> SeedVector:
         indices = [i1] * (-xp) + [i2] + [i1] * (-xp + 1)
         return package(s, indices)
     i1 = y_axis
-    assert i1 is not None
+    if i1 is None:
+        raise InternalCheckError("no axis generator to pump")
     y = gens[i1][1]
     i2 = next((i for i, g in enumerate(gens) if g[0] > 0), None)
     if i2 is None:
@@ -917,7 +927,8 @@ def facet_product_bound_check(cone: ConeData, v: Sequence[int]) -> bool:
     """
     if cone.kind is not ConeKind.PROPER_CONE:
         raise PreconditionError("facet product bound requires a pointed cone")
-    assert cone.chi1 is not None and cone.chi2 is not None
+    if cone.chi1 is None or cone.chi2 is None:
+        raise InternalCheckError("proper cone without extremals")
     pairs = list(zip((cone.chi1, cone.chi2), cone.facets))
     pos = next(
         ((c, f) for c, f in pairs if c[0] > 0 and c[1] > 0), None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import VasSystem
-from .errors import InstanceParseError
+from .errors import InstanceParseError, PreconditionError
 from .vass1 import Vass1System
 
 
@@ -111,13 +111,15 @@ def parse_instance(text: str) -> InstanceFile:
 
 def serialize_instance(inst: InstanceFile) -> str:
     if inst.kind == "vas":
-        assert inst.vas is not None
+        if inst.vas is None:
+            raise PreconditionError("a 'vas' instance needs a system")
         out = [f"vas {inst.vas.dim}"]
         for g in inst.vas.generators:
             out.append(" ".join(str(x) for x in g))
         return "\n".join(out) + "\n"
     if inst.kind == "vass1":
-        assert inst.vass1 is not None and inst.init_state is not None
+        if inst.vass1 is None or inst.init_state is None:
+            raise PreconditionError("vass1 instance lacks its system or init state")
         out = ["vass1", "states " + " ".join(inst.vass1.states)]
         out.append(f"init {inst.init_state}")
         for src, w, dst in inst.vass1.transitions:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import VasSystem, Vector, drop_peak, effect, inf_norm
+# drop_peak and effect are not called here; perfbench/tracing.py patches them
+from .core import VasSystem, Vector, drop_peak, effect, inf_norm, walk
 from .errors import InternalCheckError, PreconditionError
 
 EXACT_REORDER_CUTOFF = 48
@@ -96,7 +97,8 @@ def _purify(
                 continue
             if theta is None or cand < theta:
                 theta = cand
-        assert theta is not None and theta > 0
+        if theta is None or theta <= 0:
+            raise InternalCheckError("no positive step to a box bound")
         for x, i in zip(nu, free):
             mu[i] += theta * x
 
@@ -168,12 +170,11 @@ def _verify_corridor(
 def check_steinitz_drop_peak(vas: VasSystem, path: Sequence[int]) -> bool:
     """Check the drop/peak bounds a reordered path must satisfy: drops at
     most 2*norm and peaks at most effect + 2*norm, per coordinate."""
-    eff = effect(vas, path)
+    eff, drops, peaks = walk(vas, path)
     if any(e < 0 for e in eff):
         raise PreconditionError(
             "drop/peak bounds apply to paths with nonnegative effect"
         )
-    drops, peaks = drop_peak(vas, path)
     limit = 2 * vas.norm
     return all(dr <= limit for dr in drops) and all(
         pk <= e + limit for pk, e in zip(peaks, eff)
@@ -218,7 +219,8 @@ def reorder_counts(vas: VasSystem, counts: Sequence[int]) -> list[int]:
             if best_key is None or key > best_key:
                 best_key = key
                 best = i
-        assert best is not None
+        if best is None:
+            raise InternalCheckError("no generator left to place")
         placed[best] += 1
         order.append(best)
     return order

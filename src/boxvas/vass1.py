@@ -12,8 +12,8 @@ effect, effect covering the scheme's overshoot).  Enumeration of scheme
 parts is deduplicated by profile (end state, effect, drop, peak): two parts
 with the same profile yield identical linear components, so one
 representative path per profile preserves the emitted union while keeping
-the search tractable.  Every emitted component is verified by simulating an
-actual induced path before it is admitted.
+the search tractable.  Every emitted component, like every BFS witness, is
+verified by simulating an actual path (``_is_box_run``) before it is admitted.
 """
 from __future__ import annotations
 
@@ -96,6 +96,17 @@ def path_endpoints(sys: Vass1System, path: Sequence[int]) -> tuple[str, str] | N
         return None
     sys.check_path(path)
     return sys.transitions[path[0]][0], sys.transitions[path[-1]][2]
+
+
+def _is_box_run(
+    sys: Vass1System, q0: str, q_target: str, path: Sequence[int], x: int
+) -> bool:
+    """True iff ``path`` is a run of contiguous transitions from (0, q0) to
+    (x, q_target) whose counter stays inside [0, x]."""
+    if (path_endpoints(sys, path) or (q0, q0)) != (q0, q_target):
+        return False
+    eff, drop, peak = path_profile(path_weights(sys, path))
+    return eff == x and drop == 0 and peak <= x
 
 
 @dataclass(frozen=True)
@@ -260,6 +271,8 @@ def vass1_box_decide(
                     node, idx = parent[node]
                     path.append(idx)
                 path.reverse()
+                if not _is_box_run(sys, q0, q_target, path, x_target):
+                    raise InternalCheckError("BFS witness failed simulation")
                 return True, path
             frontier.append(nxt)
             if len(seen) > node_budget:
@@ -392,30 +405,6 @@ def _simple_cycles_from(
             if dst in seen:
                 continue
             stack.append((dst, path + (i,), seen | {dst}))
-
-
-def _verify_induced(
-    sys: Vass1System,
-    q0: str,
-    q_target: str,
-    path: Sequence[int],
-    x: int,
-) -> bool:
-    """Simulate the path: box-reaching run from (0, q0) to (x, q_target)."""
-    if path:
-        sys.check_path(path)
-        if sys.transitions[path[0]][0] != q0:
-            return False
-        if sys.transitions[path[-1]][2] != q_target:
-            return False
-    elif q0 != q_target:
-        return False
-    v = 0
-    for i in path:
-        v += sys.transitions[i][1]
-        if not 0 <= v <= x:
-            return False
-    return v == x
 
 
 def build_semilinear(
@@ -581,7 +570,7 @@ def build_semilinear(
                     )
                 theta_paths[(q_g, e)] = tp
             induced = list(alpha) + list(beta) * k_min + list(gamma) + tp
-            if not _verify_induced(sys, q0, q_target, induced, base):
+            if not _is_box_run(sys, q0, q_target, induced, base):
                 raise InternalCheckError("induced scheme path failed simulation")
             components[(base, eff_b)] = None
     except _BudgetExhausted:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from boxvas import (
     DeepConstant,
     EvidenceError,
+    InstanceFile,
     PreconditionError,
     ResourceBudgetError,
     ThresholdCase,
@@ -17,9 +19,12 @@ from boxvas import (
     is_box_reaching_trace,
     one_dim_min_peaks,
     one_vas_threshold,
+    serialize_instance,
     synthesize_box_witness,
     verify_window,
 )
+from boxvas import core
+from boxvas.cli import run_command
 
 from conftest import random_vas
 
@@ -93,6 +98,10 @@ def test_threshold_degenerate():
     assert report.case_tag is ThresholdCase.DEGENERATE
     report = compute_threshold(VasSystem(2, ((-1, -2), (-3, 0))))
     assert report.degenerate
+    # no nonzero nonnegative first step, so only 0 is reachable
+    report = compute_threshold(VasSystem(2, ((-1, 2), (2, -1))))
+    assert report.degenerate and report.w == 0
+    assert report.case_tag is ThresholdCase.DEGENERATE
 
 
 def test_min_peaks_examples():
@@ -179,6 +188,33 @@ def test_synthesize_case1(ex1):
     assert bundle.method is WitnessMethod.PROOF_CASE_1
     assert bundle.path.effect == (w, w)
     assert is_box_reaching_trace(ex1, bundle.path.indices, (w, w))
+
+
+def test_each_witness_walked_once(ex1, tmp_path, monkeypatch, capsys):
+    walked = []
+    kernel = core.walk
+
+    def counting_walk(vas, path):
+        walked.append(tuple(path))
+        return kernel(vas, path)
+
+    monkeypatch.setattr(core, "walk", counting_walk)
+    _, bundle = decide_box_reach(ex1, (21, 21))
+    assert walked.count(bundle.path.indices) == 1
+
+    w = 702464
+    walked.clear()
+    bundle = synthesize_box_witness(ex1, (w, w), coefficients=[4, 4, 70246])
+    assert walked.count(bundle.path.indices) == 1
+
+    instance = tmp_path / "ex1.vas"
+    instance.write_text(serialize_instance(InstanceFile(kind="vas", vas=ex1)))
+    walked.clear()
+    argv = ["witness", "--instance", str(instance), "--target", f"{w},{w}",
+            "--evidence", "coeffs", "--values", "4,4,70246"]
+    assert run_command(argv) == 0
+    witness = tuple(json.loads(capsys.readouterr().out)["result"]["witness"])
+    assert walked.count(witness) == 1
 
 
 def test_synthesize_case2_shallow_needs_path():

@@ -161,10 +161,12 @@ def test_cli_threshold_with_scan(ex1_file, capsys):
 
 
 def test_cli_steinitz(capsys):
-    code, env, _ = run_json(capsys, ["steinitz", "--vectors", "5,0;-3,0"])
-    assert code == 0
-    assert sorted(env["result"]["permutation"]) == [0, 1]
-    assert env["result"]["verified"] is True
+    # a value that starts with -<digit> is a value, not an option name
+    for vectors in ("5,0;-3,0", "-3,0;5,0"):
+        code, env, _ = run_json(capsys, ["steinitz", "--vectors", vectors])
+        assert code == 0
+        assert sorted(env["result"]["permutation"]) == [0, 1]
+        assert env["result"]["verified"] is True
 
 
 def test_cli_seed(ex1_file, capsys):

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import boxvas
 from boxvas import (
     MalformedPathError,
     PathRecord,
@@ -29,8 +33,10 @@ def test_effect_examples(ex1):
     assert effect(ex1, [2, 0, 1]) == (11, 11)
     assert effect(ex1, []) == (0, 0)
     assert effect(ZIGZAG, [0, 1]) == (4, 1)
-    with pytest.raises(MalformedPathError):
-        effect(ex1, [3])
+    # a negative index must not wrap around the generator tuple
+    for bad in ([3], [-1]):
+        with pytest.raises(MalformedPathError):
+            effect(ex1, bad)
 
 
 def test_drop_peak_examples(ex1):
@@ -106,9 +112,29 @@ def test_drop_peak_bracket_effect(p):
         assert -drop[k] <= eff[k] <= peak[k]
 
 
-@given(paths, st.tuples(st.integers(0, 30), st.integers(0, 30)))
-def test_box_reaching_implies_valid_trace(p, target):
+@given(
+    paths,
+    st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    st.tuples(st.integers(0, 8), st.integers(0, 8)),
+)
+def test_box_reaching_implies_valid_trace(p, target, start):
     vas = ZIGZAG
-    if is_box_reaching_trace(vas, p, target):
-        assert is_valid_n_trace(vas, p, (0, 0))
-        assert effect(vas, p) == target
+    # reference: a direct check over every prefix, independent of the kernel
+    prefixes = list(prefix_effects(vas, p))
+    reached = tuple(max(0, e) for e in prefixes[-1])
+    for t in (target, reached):
+        in_box = all(0 <= e <= b for q in prefixes for e, b in zip(q, t))
+        assert is_box_reaching_trace(vas, p, t) == (in_box and prefixes[-1] == t)
+        if is_box_reaching_trace(vas, p, t):
+            assert is_valid_n_trace(vas, p, (0, 0))
+            assert effect(vas, p) == t
+    stays = all(s + e >= 0 for q in prefixes for s, e in zip(start, q))
+    assert is_valid_n_trace(vas, p, start) == stays
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every guard must raise instead
+    for source in sorted(Path(boxvas.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{source.name}: assert statements at lines {lines}"
