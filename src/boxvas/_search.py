@@ -3,16 +3,27 @@
 Two interchangeable implementations are kept on purpose so that higher-level
 deciders can be differentially tested against each other:
 
-* ``bfs_grid``: a plain breadth-first search with parent pointers, used when
-  a witness path is needed.  Frontier order is deterministic (FIFO, generators
-  expanded in index order), so witnesses are reproducible.
+* ``bfs_grid``: a breadth-first search that yields a witness path.  The box
+  is embedded in a table padded by the most negative generator entry below
+  and the largest positive one above in each coordinate, and flattened with
+  ``_strides``, so a generator step is one integer offset and needs no bounds
+  test.  Each cell holds one byte: 0 unseen, i + 1 when generator i reached
+  it first, a sentinel for the start cell and for the padding.  The witness
+  is rebuilt by subtracting offsets from the target back to the start.
+  Frontier order is deterministic (FIFO, generators expanded in index
+  order), so witnesses are reproducible.
 * ``reachable_bitmap``: a fixpoint over the whole grid encoded as one big
   integer bitmap; a generator step is a single shift-and-mask.  Much faster
   for sweeps, but yields decisions only.
+
+Both engines charge ``node_budget`` the same way: a grid (the padded table,
+for the BFS) of more cells than the budget raises ``ResourceBudgetError``
+before anything is allocated.
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -101,45 +112,64 @@ def bfs_grid(
 ) -> list[int] | None:
     """BFS from 0 inside [0, cap]; returns a witness index path to ``target``.
 
-    Returns None when the target is unreachable.  Deterministic: FIFO
-    frontier, generators tried in index order, so the returned witness is a
-    stable fixture for a given instance.
+    Returns None when the target is unreachable or lies outside the cap.
+    Deterministic: FIFO frontier, generators tried in index order, so the
+    returned witness is a stable fixture for a given instance.  Raises
+    ``ResourceBudgetError`` before allocating when the padded table has more
+    than ``node_budget`` cells.
     """
     cap = tuple(cap)
     target = tuple(target)
-    d = len(cap)
-    start = (0,) * d
-    if target == start:
+    if len(target) != len(cap) or not all(0 <= x <= c for x, c in zip(target, cap)):
+        return None
+    if not any(target):
         return []
-    parent: dict[Vector, tuple[Vector, int]] = {}
-    seen = {start}
-    frontier = deque([start])
+    below = [max([0] + [-g[k] for g in generators]) for k in range(len(cap))]
+    above = [max([0] + [g[k] for g in generators]) for k in range(len(cap))]
+    padded = [b + c + a for b, c, a in zip(below, cap, above)]
+    n = grid_cells(padded)
+    if n > node_budget:
+        raise ResourceBudgetError(
+            f"padded grid of {n} cells exceeds node budget {node_budget}",
+            node_budget,
+        )
+    strides = _strides(padded)
+    offsets = [sum(gk * sk for gk, sk in zip(g, strides)) for g in generators]
+    # cell value: 0 unseen, i + 1 reached first by generator i, `border` for
+    # the start cell and every cell outside [0, cap]
+    for code in "BHL":
+        border = (1 << (8 * array(code).itemsize)) - 1
+        if len(generators) < border:
+            break
+    via = array(code, [border]) * n
+    width = cap[-1] + 1
+    blank = array(code, [0]) * width
+    for row in product(*(range(b, b + c + 1) for b, c in zip(below[:-1], cap[:-1]))):
+        lo = sum(x * s for x, s in zip(row, strides)) + below[-1]
+        via[lo : lo + width] = blank
+    start = sum(b * s for b, s in zip(below, strides))
+    goal = start + sum(x * s for x, s in zip(target, strides))
+    via[start] = border
+    moves = [(off, i + 1) for i, off in enumerate(offsets)]
+    # level by level: each level lists its cells in discovery order, which is
+    # the order a FIFO queue would pop them
+    frontier = [start]
     while frontier:
-        p = frontier.popleft()
-        for gi, g in enumerate(generators):
-            q = tuple(p[k] + g[k] for k in range(d))
-            if q in seen:
-                continue
-            inside = True
-            for k in range(d):
-                if not 0 <= q[k] <= cap[k]:
-                    inside = False
-                    break
-            if not inside:
-                continue
-            seen.add(q)
-            parent[q] = (p, gi)
-            if q == target:
-                path: list[int] = []
-                node = q
-                while node != start:
-                    node, gi2 = parent[node]
-                    path.append(gi2)
-                path.reverse()
-                return path
-            frontier.append(q)
-            if len(seen) > node_budget:
-                raise ResourceBudgetError(
-                    f"BFS exceeded node budget {node_budget}", node_budget
-                )
+        level: list[int] = []
+        push = level.append
+        for p in frontier:
+            for off, mark in moves:
+                q = p + off
+                if not via[q]:
+                    via[q] = mark
+                    if q == goal:
+                        path: list[int] = []
+                        while q != start:
+                            i = via[q] - 1
+                            path.append(i)
+                            q -= offsets[i]
+                        path.reverse()
+                        return path
+                    push(q)
+        frontier = level
     return None

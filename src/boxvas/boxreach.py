@@ -299,14 +299,56 @@ def compute_threshold(
             f"W = 16*norm^4 + 4*norm + norm*M = 16*{n}^4 + 4*{n} + "
             f"{n}*{m_used.value} = {w}",
         )
-    # the cone meets the nonnegative quadrant only at the origin
+    # The nonzero nonnegative generator puts a quadrant point in the cone, so
+    # the only shape left is a proper cone touching the quadrant along one
+    # axis ray.  Cone and quadrant meet in the cone spanned by the extremals
+    # inside the quadrant and the unit axes inside the cone.
+    contact = {
+        _primitive(v)
+        for v in (cone.chi1, cone.chi2, (1, 0), (0, 1))
+        if v is not None
+        and min(v) >= 0
+        and all(dot(f, v) >= 0 for f in cone.facets)
+    }
+    axis_ray = contact in ({(1, 0)}, {(0, 1)})
+    if cone.kind is not ConeKind.PROPER_CONE or not axis_ray:
+        raise InternalCheckError(
+            f"unclassified cone shape {cone.kind.value} meeting the quadrant "
+            f"along {sorted(contact)}"
+        )
     return ThresholdReport(
         0,
-        ThresholdCase.DEGENERATE,
+        ThresholdCase.ONE_DIMENSIONAL,
         m_used,
-        "cone meets the quadrant only at 0; reach = {0}",
-        degenerate=True,
+        "cone meets the quadrant along one axis ray, where only positive "
+        "axis-parallel steps fire; reach = box-reach, W = 0",
     )
+
+
+def _one_dim_witness(vas: VasSystem, t: Vector) -> WitnessBundle:
+    """Box-reaching witness for a target on the reachable ray of a
+    one-dimensional system, searched on the ray alone.
+
+    Inside [0, t] only generators parallel to t can fire (the cone meets the
+    quadrant in that ray), so a BFS over [0, max(t)] with their entries in
+    t's largest coordinate finds the same path as a 2-D BFS, in time linear
+    in the target rather than in the box.
+    """
+    if not any(t):
+        return _bundle(vas, [], t, WitnessMethod.BFS_SEARCH)
+    ray = _primitive(t)
+    kept = [
+        i
+        for i, g in enumerate(vas.generators)
+        if any(g) and _primitive(g) in (ray, (-ray[0], -ray[1]))
+    ]
+    k = 0 if t[0] >= t[1] else 1
+    path = bfs_grid([(vas.generators[i][k],) for i in kept], (t[k],), (t[k],))
+    if path is None:
+        raise InternalCheckError(
+            "one-dimensional target above M1 was not box-reachable"
+        )
+    return _bundle(vas, [kept[i] for i in path], t, WitnessMethod.BFS_SEARCH)
 
 
 def _axis_flip(vas: VasSystem) -> VasSystem:
@@ -384,12 +426,7 @@ def synthesize_box_witness(
             raise PreconditionError(
                 f"target {t} is below the threshold W = {report.w}"
             )
-        ok, bundle = decide_box_reach(vas, t)
-        if not ok or bundle is None:
-            raise InternalCheckError(
-                "one-dimensional target above M1 was not box-reachable"
-            )
-        return bundle
+        return _one_dim_witness(vas, t)
     if t[0] < report.w or t[1] < report.w:
         raise PreconditionError(
             f"target {t} is below the threshold W = {report.w}"

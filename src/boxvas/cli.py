@@ -8,6 +8,7 @@ One JSON object on stdout, a one-line human summary on stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -76,7 +77,10 @@ def _require_vas(inst: InstanceFile) -> VasSystem:
     return inst.vas
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace, so calls share nothing
     parser = argparse.ArgumentParser(
         prog="boxvas",
         description="Box-reachability toolkit for vector addition systems",

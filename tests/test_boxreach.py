@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -8,6 +9,7 @@ from boxvas import (
     DeepConstant,
     EvidenceError,
     InstanceFile,
+    InternalCheckError,
     PreconditionError,
     ResourceBudgetError,
     ThresholdCase,
@@ -23,8 +25,9 @@ from boxvas import (
     synthesize_box_witness,
     verify_window,
 )
-from boxvas import core
+from boxvas import boxreach, core
 from boxvas.cli import run_command
+from boxvas.geometry import QuadrantRelation
 
 from conftest import random_vas
 
@@ -179,6 +182,51 @@ def test_synthesize_one_dimensional():
     assert bundle.path.effect == t
     with pytest.raises(PreconditionError):
         synthesize_box_witness(vas, (5, 5), coefficients=[3, 1])
+
+
+def test_synthesize_one_dimensional_far_target():
+    # the 2-D box [0, t] has 67M cells, over the default budget; the ray
+    # through t has 8196
+    vas = VasSystem(2, ((5, 5), (-3, -3)))
+    bundle = synthesize_box_witness(vas, (8195, 8195), coefficients=[1639, 0])
+    assert bundle.path.indices == (0,) * 1639
+    assert bundle.method is WitnessMethod.BFS_SEARCH
+
+
+@pytest.mark.parametrize(
+    "gens, target",
+    [
+        (((1, 0), (-1, -1)), (5, 0)),
+        (((1, 0), (-1, -2)), (5, 0)),
+        (((0, 1), (-1, -1)), (0, 5)),
+    ],
+)
+def test_threshold_axis_contact(gens, target):
+    # a proper cone touching the quadrant only along an axis ray: on it only
+    # positive axis-parallel steps fire, so reach = box-reach
+    vas = VasSystem(2, gens)
+    report = compute_threshold(vas)
+    assert not report.degenerate
+    assert report.case_tag is ThresholdCase.ONE_DIMENSIONAL
+    assert report.w == 0
+    bundle = synthesize_box_witness(vas, target, coefficients=[5, 0])
+    assert bundle.path.effect == target
+    assert decide_box_reach(vas, target)[0]
+
+
+def test_threshold_unclassified_shape_raises(monkeypatch):
+    # (1,1),(1,-1) meets the open quadrant; mislabelled OTHER it must not
+    # reach the axis-ray fall-through silently
+    real = boxreach.cone_from_generators
+
+    def mislabelled(vas):
+        return dataclasses.replace(
+            real(vas), quadrant_relation=QuadrantRelation.OTHER
+        )
+
+    monkeypatch.setattr(boxreach, "cone_from_generators", mislabelled)
+    with pytest.raises(InternalCheckError):
+        compute_threshold(VasSystem(2, ((1, 1), (1, -1))))
 
 
 def test_synthesize_case1(ex1):

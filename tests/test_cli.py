@@ -260,6 +260,17 @@ def test_cli_exit_codes(ex1_file, vass1_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_parser_shares_nothing_between_calls(ex1_file, capsys):
+    decide = ["decide-box", "--instance", ex1_file, "--target", "21,21"]
+    over_budget = decide + ["--node-budget", "10"]
+    for first, first_code in ((over_budget, 4), (["decide-box", "--bogus"], 2)):
+        assert run_json(capsys, first)[0] == first_code
+        code, env, _ = run_json(capsys, decide)
+        assert code == 0
+        assert env["budget"] == {"node_budget": 10_000_000}
+        assert env["result"]["witness"] == [2, 0, 1, 2]
+
+
 def test_cli_threads_warning(ex1_file, capsys):
     code, env, _ = run_json(
         capsys,
