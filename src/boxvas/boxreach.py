@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .geometry import (
+    DEFAULT_INT_CONE_BUDGET,
     ConeData,
     ConeKind,
     DeepConstant,
@@ -50,6 +51,7 @@ from .geometry import (
     is_m_deep,
 )
 from .steinitz import reorder_counts
+from .vass1 import Vass1System, vass1_min_ceilings
 
 
 class ThresholdCase(Enum):
@@ -156,32 +158,11 @@ def one_dim_min_peaks(steps: Sequence[int], ceiling: int) -> list[int | None]:
     """For each value v in [0, ceiling]: the smallest peak bound under which
     v is reachable from 0 (prefixes confined to [0, peak]), or None.
 
-    Incremental-ceiling closure: raising the ceiling by one admits the new
-    top value, whose closure is a single BFS; every value is settled once.
+    The steps form a one-state 1-VASS with one self-loop per step, so this is
+    ``vass1_min_ceilings`` read off at that state.
     """
-    if ceiling < 0:
-        raise PreconditionError("ceiling must be nonnegative")
-    minpeak: list[int | None] = [None] * (ceiling + 1)
-    minpeak[0] = 0
-    for c in range(1, ceiling + 1):
-        if minpeak[c] is not None:
-            continue
-        # a path with peak exactly c must step onto c from a value that was
-        # reachable under the previous ceiling
-        if not any(
-            0 <= c - a < c and minpeak[c - a] is not None for a in steps
-        ):
-            continue
-        minpeak[c] = c
-        queue = [c]
-        while queue:
-            u = queue.pop()
-            for a in steps:
-                w = u + a
-                if 0 <= w <= c and minpeak[w] is None:
-                    minpeak[w] = c
-                    queue.append(w)
-    return minpeak
+    loops = Vass1System(("q",), tuple(("q", a, "q") for a in steps))
+    return [mc.get("q") for mc in vass1_min_ceilings(loops, "q", ceiling)]
 
 
 def _one_dim_steps(vas: VasSystem) -> list[int] | None:
@@ -271,6 +252,18 @@ def compute_threshold(
             m_used,
             f"one-dimensional; W = M1 = {one.m1}",
         )
+    # Cone and quadrant meet in the cone spanned by the extremals inside the
+    # quadrant and the unit axes inside the cone.  The nonzero nonnegative
+    # generator lies in that meet, so it is never {0}.
+    contact = {
+        _primitive(v)
+        for v in (cone.chi1, cone.chi2, (1, 0), (0, 1))
+        if v is not None
+        and min(v) >= 0
+        and all(dot(f, v) >= 0 for f in cone.facets)
+    }
+    if contact in ({(1, 0)}, {(0, 1)}):
+        return _axis_ray_threshold(vas, 0 if (1, 0) in contact else 1, m_used)
     if cone.kind in (ConeKind.HALF_PLANE, ConeKind.FULL_PLANE):
         w = 16 * n**3 + m_used.value
         return ThresholdReport(
@@ -299,29 +292,35 @@ def compute_threshold(
             f"W = 16*norm^4 + 4*norm + norm*M = 16*{n}^4 + 4*{n} + "
             f"{n}*{m_used.value} = {w}",
         )
-    # The nonzero nonnegative generator puts a quadrant point in the cone, so
-    # the only shape left is a proper cone touching the quadrant along one
-    # axis ray.  Cone and quadrant meet in the cone spanned by the extremals
-    # inside the quadrant and the unit axes inside the cone.
-    contact = {
-        _primitive(v)
-        for v in (cone.chi1, cone.chi2, (1, 0), (0, 1))
-        if v is not None
-        and min(v) >= 0
-        and all(dot(f, v) >= 0 for f in cone.facets)
-    }
-    axis_ray = contact in ({(1, 0)}, {(0, 1)})
-    if cone.kind is not ConeKind.PROPER_CONE or not axis_ray:
-        raise InternalCheckError(
-            f"unclassified cone shape {cone.kind.value} meeting the quadrant "
-            f"along {sorted(contact)}"
+    raise InternalCheckError(
+        f"unclassified cone shape {cone.kind.value} meeting the quadrant "
+        f"along {sorted(contact)}"
+    )
+
+
+def _axis_ray_threshold(
+    vas: VasSystem, axis: int, m_used: DeepConstant
+) -> ThresholdReport:
+    """W for a cone that meets the quadrant along one axis ray: inside the
+    quadrant only the steps along that axis fire, so they form a
+    one-dimensional system, and W is its M1 (0 when every step is positive,
+    since then any order of a multiset is box-reaching)."""
+    steps = [g[axis] for g in vas.generators if g[axis] and not g[1 - axis]]
+    if min(steps) > 0:
+        return ThresholdReport(
+            0,
+            ThresholdCase.ONE_DIMENSIONAL,
+            m_used,
+            "cone meets the quadrant along one axis ray, where only positive "
+            "axis-parallel steps fire; reach = box-reach, W = 0",
         )
+    one = one_vas_threshold(VasSystem(1, tuple((a,) for a in steps)))
     return ThresholdReport(
-        0,
+        one.m1,
         ThresholdCase.ONE_DIMENSIONAL,
         m_used,
-        "cone meets the quadrant along one axis ray, where only positive "
-        "axis-parallel steps fire; reach = box-reach, W = 0",
+        "cone meets the quadrant along one axis ray, where only the "
+        f"axis-parallel steps fire; W = M1 = {one.m1}",
     )
 
 
@@ -351,10 +350,6 @@ def _one_dim_witness(vas: VasSystem, t: Vector) -> WitnessBundle:
     return _bundle(vas, [kept[i] for i in path], t, WitnessMethod.BFS_SEARCH)
 
 
-def _axis_flip(vas: VasSystem) -> VasSystem:
-    return VasSystem(2, tuple((g[1], g[0]) for g in vas.generators))
-
-
 def _positive_facet(cone: ConeData) -> tuple[Vector, Vector]:
     """(chi, facet) for the strictly positive extremal of an
     intersects-quadrant cone."""
@@ -372,7 +367,6 @@ def synthesize_box_witness(
     coefficients: Sequence[int] | None = None,
     path: Sequence[int] | None = None,
     m: DeepConstant | None = None,
-    coeff_budget: int | None = None,
 ) -> WitnessBundle:
     """Build a box-reaching path to a target at or above the threshold W.
 
@@ -443,10 +437,10 @@ def synthesize_box_witness(
     r = vec_sub(t, vec_scale(2, seed.s_pos))
 
     def case1() -> WitnessBundle:
-        res = int_cone_member(vas, r, coeff_budget)
+        res = int_cone_member(vas, r)
         if res.status is Membership.UNDECIDED:
             raise ResourceBudgetError(
-                "integer-cone solve exhausted its budget", coeff_budget
+                "integer-cone solve exhausted its budget", DEFAULT_INT_CONE_BUDGET
             )
         if not res.is_member or res.coefficients is None:
             raise InternalCheckError(

@@ -39,7 +39,7 @@ from .geometry import DeepConstant, compute_seed, ditc_falsification_scan
 from .instances import InstanceFile, parse_instance, serialize_instance
 from .lift import lift_vas
 from .steinitz import steinitz_reorder
-from .vass1 import build_semilinear, semilinear_member, vass1_box_decide
+from .vass1 import build_semilinear, vass1_box_decide
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

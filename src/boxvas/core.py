@@ -40,10 +40,6 @@ def vec_le(a: Vector, b: Vector) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def vec_ge(a: Vector, b: Vector) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
 def inf_norm(a: Vector) -> int:
     return max((abs(x) for x in a), default=0)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
 from math import gcd
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 from .core import (
     PathRecord,
@@ -344,42 +344,62 @@ def _line_multiple(b: Vector, v: Vector) -> int | None:
     return q
 
 
+def _least_per_residue(
+    weights: Sequence[int],
+    advance: Callable[[Hashable, int, int], Hashable],
+    start: Hashable,
+    target: Hashable,
+    bound: int,
+) -> tuple[int, list[int]] | None:
+    """The residue table ("round-robin") of Böcker & Lipták: Dijkstra over
+    residue keys, where step j adds the positive ``weights[j]`` to the total
+    and moves key k at new total v to ``advance(k, j, v)``.
+
+    Returns the least total reaching ``target`` from ``start`` at total 0,
+    with the step counts of that combination, or None when the target is
+    unreached or its least total exceeds ``bound``.
+    """
+    dist: dict[Hashable, int] = {start: 0}
+    pred: dict[Hashable, tuple[Hashable, int]] = {}
+    heap = [(0, start)]
+    while heap:
+        val, key = heapq.heappop(heap)
+        if val != dist[key]:
+            continue
+        for j, w in enumerate(weights):
+            nv = val + w
+            nk = advance(key, j, nv)
+            if nv < dist.get(nk, nv + 1):
+                dist[nk] = nv
+                pred[nk] = (key, j)
+                heapq.heappush(heap, (nv, nk))
+    least = dist.get(target)
+    if least is None or least > bound:
+        return None
+    counts = [0] * len(weights)
+    key = target
+    while key != start:
+        key, j = pred[key]
+        counts[j] += 1
+    return least, counts
+
+
 def _semigroup_rep(m: int, coins: Sequence[int]) -> list[int] | None:
     """Nonnegative counts of positive ``coins`` summing to m, or None.
 
-    Shortest-path table of minimal reachable value per residue class modulo
-    the smallest coin; handles arbitrarily large m in one pass.
+    Residue table modulo the smallest coin; handles arbitrarily large m in
+    one pass.
     """
     if m == 0:
         return [0] * len(coins)
     if m < 0 or not coins:
         return None
     a0 = min(coins)
-    i0 = coins.index(a0)
-    dist: dict[int, int] = {0: 0}
-    pred: dict[int, tuple[int, int]] = {}
-    heap = [(0, 0)]
-    while heap:
-        val, r = heapq.heappop(heap)
-        if val != dist.get(r):
-            continue
-        for ci, c in enumerate(coins):
-            nv = val + c
-            nr = nv % a0
-            if nv < dist.get(nr, nv + 1):
-                dist[nr] = nv
-                pred[nr] = (r, ci)
-                heapq.heappush(heap, (nv, nr))
-    r = m % a0
-    if r not in dist or dist[r] > m:
+    found = _least_per_residue(coins, lambda _, __, v: v % a0, 0, m % a0, m)
+    if found is None:
         return None
-    counts = [0] * len(coins)
-    cur = r
-    while cur != 0 or dist[cur] != 0:
-        prev, ci = pred[cur]
-        counts[ci] += 1
-        cur = prev
-    counts[i0] += (m - dist[r]) // a0
+    least, counts = found
+    counts[coins.index(a0)] += (m - least) // a0
     return counts
 
 
@@ -450,19 +470,9 @@ def _solve_two_coin(m: int, p: int, n: int) -> tuple[int, int]:
     g = gcd(p, -n)
     if m % g:
         raise InternalCheckError(f"{m} is not a multiple of gcd {g}")
-    # extended gcd for x0*p + y0*n = g
-    a, b = p, n
-    xa, ya, xb, yb = 1, 0, 0, 1
-    while b != 0:
-        q = a // b
-        a, b = b, a - q * b
-        xa, xb = xb, xa - q * xb
-        ya, yb = yb, ya - q * yb
-    if a < 0:
-        a, xa, ya = -a, -xa, -ya
-    scale = m // a
-    x, y = xa * scale, ya * scale
-    step_x, step_y = -n // a, p // a  # both positive
+    x0, y0 = _bezout(p, n)
+    x, y = x0 * (m // g), y0 * (m // g)
+    step_x, step_y = -n // g, p // g  # both positive
     k = 0
     if x < 0:
         k = max(k, (-x + step_x - 1) // step_x)
@@ -543,12 +553,30 @@ def _finish(
     return IntConeResult(Membership.MEMBER, tuple(coeffs))
 
 
+def _int_cone_line(
+    vas: VasSystem, v: Vector, b: Vector, on_line: list[tuple[int, Vector]]
+) -> IntConeResult:
+    """Membership of v in the integer cone of the generators ``on_line``,
+    all multiples of the primitive direction b."""
+    m_v = _line_multiple(b, v)
+    if m_v is None:
+        return IntConeResult(Membership.NON_MEMBER)
+    mults = [_line_multiple(b, g) for _, g in on_line]
+    # the residue table of a one-signed line has as many keys as its
+    # smallest multiple
+    if m_v > 0 and min(mults) > DEFAULT_INT_CONE_BUDGET:  # type: ignore[type-var]
+        return IntConeResult(Membership.UNDECIDED)
+    rep = _signed_line_rep(m_v, mults)  # type: ignore[arg-type]
+    if rep is None:
+        return IntConeResult(Membership.NON_MEMBER)
+    return _finish(vas, v, {i: c for (i, _), c in zip(on_line, rep) if c})
+
+
 def _int_cone_proper(
     vas: VasSystem,
     cone: ConeData,
     v: Vector,
     nonzero: list[tuple[int, Vector]],
-    budget: int,
 ) -> IntConeResult:
     if cone.chi1 is None or cone.chi2 is None:
         raise InternalCheckError("proper cone without extremals")
@@ -561,7 +589,7 @@ def _int_cone_proper(
     others = [(i, g) for i, g in nonzero if i not in (i1, i2)]
     f1, f2 = cone.facets
 
-    if d_abs ** len(others) <= budget:
+    if d_abs ** len(others) <= DEFAULT_INT_CONE_BUDGET:
         # any solution can be normalized so every non-extremal coefficient is
         # under |det|: |det| copies of g trade for nonnegative extremal copies
         for combo in itertools.product(range(d_abs), repeat=len(others)):
@@ -603,7 +631,7 @@ def _int_cone_proper(
                     node, idx2 = parent[node]
                     counts[idx2] = counts.get(idx2, 0) + 1
                 return _finish(vas, v, counts)
-            if len(seen) > budget:
+            if len(seen) > DEFAULT_INT_CONE_BUDGET:
                 return IntConeResult(Membership.UNDECIDED)
             frontier.append(q)
     return IntConeResult(Membership.NON_MEMBER)
@@ -614,7 +642,6 @@ def _int_cone_half_plane(
     cone: ConeData,
     v: Vector,
     nonzero: list[tuple[int, Vector]],
-    budget: int,
 ) -> IntConeResult:
     (f,) = cone.facets
     height = dot(f, v)
@@ -629,13 +656,7 @@ def _int_cone_half_plane(
         g_b = gcd(g_b, m)  # type: ignore[arg-type]
 
     if height == 0:
-        m_v = _line_multiple(b, v)
-        if m_v is None:
-            return IntConeResult(Membership.NON_MEMBER)
-        rep = _signed_line_rep(m_v, b_mults)  # type: ignore[arg-type]
-        if rep is None:
-            return IntConeResult(Membership.NON_MEMBER)
-        return _finish(vas, v, {i: c for (i, _), c in zip(boundary, rep) if c})
+        return _int_cone_line(vas, v, b, boundary)
 
     # complete b to a basis (b, p) with cross(b, p) = 1; psi(z) is the
     # b-coordinate of z, well defined mod g_b once heights cancel
@@ -657,37 +678,25 @@ def _int_cone_half_plane(
     mod = g_b if g_b > 0 else 1
     k0 = mod // gcd(psis[j0] % mod, mod) if mod > 1 else 1
     period = h0 * k0
-    if period * mod > budget:
+    if period * mod > DEFAULT_INT_CONE_BUDGET:
         return IntConeResult(Membership.UNDECIDED)
 
-    # minimal achievable interior height per (height mod period, psi residue)
-    dist: dict[tuple[int, int], int] = {(0, 0): 0}
-    pred: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    heap = [(0, (0, 0))]
-    while heap:
-        val, key = heapq.heappop(heap)
-        if val != dist.get(key):
-            continue
-        for j, (h, ps) in enumerate(zip(heights, psis)):
-            nv = val + h
-            nk = (nv % period, (key[1] + ps) % mod)
-            if nv < dist.get(nk, nv + 1):
-                dist[nk] = nv
-                pred[nk] = (key, j)
-                heapq.heappush(heap, (nv, nk))
-    target_key = (height % period, psi(v) % mod)
-    if target_key not in dist or dist[target_key] > height:
+    # least interior height per (height mod period, psi residue)
+    found = _least_per_residue(
+        heights,
+        lambda key, j, h: (h % period, (key[1] + psis[j]) % mod),
+        (0, 0),
+        (height % period, psi(v) % mod),
+        height,
+    )
+    if found is None:
         return IntConeResult(Membership.NON_MEMBER)
-    counts = [0] * len(interior)
-    key = target_key
-    while key != (0, 0):
-        key, j = pred[key]
-        counts[j] += 1
+    least, counts = found
     # pad the remaining height in whole k0-blocks of the smallest coin, which
     # add `period` height each and preserve the psi residue
-    if (height - dist[target_key]) % period:
+    if (height - least) % period:
         raise InternalCheckError("remaining height is not whole blocks")
-    counts[j0] += (height - dist[target_key]) // period * k0
+    counts[j0] += (height - least) // period * k0
 
     used = (0, 0)
     for c, (_, g) in zip(counts, interior):
@@ -729,7 +738,6 @@ def _int_cone_with(
     cone: ConeData,
     solver: _LatticeSolver,
     v: Vector,
-    budget: int,
 ) -> IntConeResult:
     if v == (0, 0):
         return IntConeResult(Membership.MEMBER, (0,) * len(vas.generators))
@@ -742,32 +750,10 @@ def _int_cone_with(
 
     if cone.kind is ConeKind.ZERO_ONLY:
         return IntConeResult(Membership.NON_MEMBER)
-    if cone.kind is ConeKind.RAY:
-        b = cone.chi1
-        if b is None:
+    if cone.kind in (ConeKind.RAY, ConeKind.LINE):
+        if cone.chi1 is None:
             raise InternalCheckError("one-dimensional cone without direction")
-        m_v = _line_multiple(b, v)
-        if m_v is None or m_v < 0:
-            return IntConeResult(Membership.NON_MEMBER)
-        coins = [_line_multiple(b, g) for _, g in nonzero]
-        if min(c for c in coins) > budget:  # type: ignore[type-var]
-            return IntConeResult(Membership.UNDECIDED)
-        rep = _semigroup_rep(m_v, coins)  # type: ignore[arg-type]
-        if rep is None:
-            return IntConeResult(Membership.NON_MEMBER)
-        return _finish(vas, v, {i: c for (i, _), c in zip(nonzero, rep) if c})
-    if cone.kind is ConeKind.LINE:
-        b = cone.chi1
-        if b is None:
-            raise InternalCheckError("one-dimensional cone without direction")
-        m_v = _line_multiple(b, v)
-        if m_v is None:
-            return IntConeResult(Membership.NON_MEMBER)
-        mults = [_line_multiple(b, g) for _, g in nonzero]
-        rep = _signed_line_rep(m_v, mults)  # type: ignore[arg-type]
-        if rep is None:
-            return IntConeResult(Membership.NON_MEMBER)
-        return _finish(vas, v, {i: c for (i, _), c in zip(nonzero, rep) if c})
+        return _int_cone_line(vas, v, cone.chi1, nonzero)
     if cone.kind is ConeKind.FULL_PLANE:
         z = _positive_zero_combo(nonzero)
         shift = 0
@@ -780,30 +766,27 @@ def _int_cone_with(
             counts[i] = lam[i] + shift * z[pos]
         return _finish(vas, v, counts)
     if cone.kind is ConeKind.HALF_PLANE:
-        return _int_cone_half_plane(vas, cone, v, nonzero, budget)
-    return _int_cone_proper(vas, cone, v, nonzero, budget)
+        return _int_cone_half_plane(vas, cone, v, nonzero)
+    return _int_cone_proper(vas, cone, v, nonzero)
 
 
-def int_cone_member(
-    vas: VasSystem, v: Sequence[int], coeff_budget: int | None = None
-) -> IntConeResult:
+def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
     """Exact membership of v in the nonnegative-integer span of the generators.
 
     Returns MEMBER with reproducing coefficients, NON_MEMBER, or UNDECIDED
-    when the configured budget was exhausted before a sound answer was found.
+    when a table or search would exceed ``DEFAULT_INT_CONE_BUDGET`` entries
+    before a sound answer was found.
     """
     _require_dim2(vas)
-    budget = coeff_budget if coeff_budget is not None else DEFAULT_INT_CONE_BUDGET
     cone = cone_from_generators(vas)
     solver = _LatticeSolver(vas.generators)
-    return _int_cone_with(vas, cone, solver, tuple(int(x) for x in v), budget)
+    return _int_cone_with(vas, cone, solver, tuple(int(x) for x in v))
 
 
 def ditc_falsification_scan(
     vas: VasSystem,
     m: "DeepConstant | int",
     radius: int,
-    coeff_budget: int | None = None,
 ) -> DitcScanReport:
     """Scan all integer points of infinity-norm at most ``radius`` that are
     m-deep lattice members and report any that are not integer-cone members.
@@ -815,7 +798,6 @@ def ditc_falsification_scan(
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     mv = _deep_value(m)
-    budget = coeff_budget if coeff_budget is not None else DEFAULT_INT_CONE_BUDGET
     cone = cone_from_generators(vas)
     solver = _LatticeSolver(vas.generators)
     bad: list[Vector] = []
@@ -829,7 +811,7 @@ def ditc_falsification_scan(
             if solver.solve(v) is None:
                 continue
             checked += 1
-            res = _int_cone_with(vas, cone, solver, v, budget)
+            res = _int_cone_with(vas, cone, solver, v)
             if res.status is Membership.NON_MEMBER:
                 bad.append(v)
             elif res.status is Membership.UNDECIDED:

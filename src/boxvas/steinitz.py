@@ -14,9 +14,12 @@ A vertex of that polytope always has a zero coordinate (it has at most d+1
 fractional entries, and a counting argument rules out the all-ones/fraction
 split), and dropping that index keeps the next level feasible.
 
-``reorder_counts`` is the cheap large-multiset variant used when the input
-is many copies of few distinct vectors: a largest-deficit proportional
-schedule whose per-type deviation from the ideal line is under one copy.
+``reorder_counts`` orders a multiset given as per-generator counts, the form
+witness synthesis produces, with a largest-deficit proportional schedule:
+each type stays within one copy of its ideal share, which bounds the prefix
+deviation by the sum of the distinct generators' norms and so meets the
+drop/peak bounds of ``check_steinitz_drop_peak`` for every multiset size.
+Its cost is linear in the multiset size times the number of types.
 """
 from __future__ import annotations
 
@@ -27,8 +30,6 @@ from typing import Sequence
 # drop_peak and effect are not called here; perfbench/tracing.py patches them
 from .core import VasSystem, Vector, drop_peak, effect, inf_norm, walk
 from .errors import InternalCheckError, PreconditionError
-
-EXACT_REORDER_CUTOFF = 48
 
 
 @dataclass(frozen=True)
@@ -185,10 +186,10 @@ def reorder_counts(vas: VasSystem, counts: Sequence[int]) -> list[int]:
     """Order a multiset given as per-generator counts so prefix sums track
     the proportional line.
 
-    Small multisets go through the exact construction; large ones use a
-    largest-deficit schedule, which keeps each type within one copy of its
-    ideal share (so prefix deviation stays under the sum of distinct
-    generator norms).
+    A largest-deficit schedule keeps each type within one copy of its ideal
+    share, so the prefix deviation stays under the sum of the distinct
+    generators' norms, for any multiset size.  ``steinitz_reorder`` is the
+    exact construction for an explicit vector list.
     """
     counts = [int(c) for c in counts]
     if len(counts) != len(vas.generators):
@@ -198,13 +199,6 @@ def reorder_counts(vas: VasSystem, counts: Sequence[int]) -> list[int]:
     k = sum(counts)
     if k == 0:
         return []
-    if k <= EXACT_REORDER_CUTOFF:
-        expanded: list[int] = []
-        for i, c in enumerate(counts):
-            expanded.extend([i] * c)
-        result = steinitz_reorder([vas.generators[i] for i in expanded])
-        return [expanded[p] for p in result.permutation]
-
     placed = [0] * len(counts)
     order: list[int] = []
     live = [i for i, c in enumerate(counts) if c > 0]

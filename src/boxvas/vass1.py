@@ -27,6 +27,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
+from .geometry import _semigroup_rep
 
 
 @dataclass(frozen=True)
@@ -195,44 +196,10 @@ class SemilinearSet:
 def semilinear_member(s: SemilinearSet, n: int) -> bool:
     if n < 0:
         raise PreconditionError("membership is defined for nonnegative values")
-    if n in s.explicit:
-        return True
-    for base, periods in s.components:
-        if n < base:
-            continue
-        m = n - base
-        if not periods:
-            if m == 0:
-                return True
-            continue
-        if len(periods) == 1:
-            if m % periods[0] == 0:
-                return True
-            continue
-        if _coin_representable(m, periods):
-            return True
-    return False
-
-
-def _coin_representable(m: int, periods: tuple[int, ...]) -> bool:
-    """m expressible as a nonnegative combination of the (positive) periods."""
-    p0 = min(periods)
-    # smallest representable value per residue mod p0 (shortest-path relaxation)
-    best = [None] * p0
-    best[0] = 0
-    frontier = deque([0])
-    while frontier:
-        v = frontier.popleft()
-        if best[v % p0] != v:
-            continue
-        for p in periods:
-            w = v + p
-            r = w % p0
-            if w <= m and (best[r] is None or w < best[r]):
-                best[r] = w
-                frontier.append(w)
-    b = best[m % p0]
-    return b is not None and b <= m
+    return n in s.explicit or any(
+        n >= base and _semigroup_rep(n - base, periods) is not None
+        for base, periods in s.components
+    )
 
 
 def vass1_box_decide(

@@ -27,7 +27,12 @@ from boxvas import (
 )
 from boxvas import boxreach, core
 from boxvas.cli import run_command
-from boxvas.geometry import QuadrantRelation
+from boxvas.geometry import (
+    DEFAULT_INT_CONE_BUDGET,
+    IntConeResult,
+    Membership,
+    QuadrantRelation,
+)
 
 from conftest import random_vas
 
@@ -118,6 +123,35 @@ def test_min_peaks_examples():
     assert peaks[4] == 6
     with pytest.raises(PreconditionError):
         one_dim_min_peaks([1], -1)
+
+
+def _brute_min_peaks(steps, ceiling):
+    # explore every (value, peak so far) state with the peak within ceiling
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        v, p = stack.pop()
+        for a in steps:
+            w = v + a
+            state = (w, max(p, w))
+            if w >= 0 and state[1] <= ceiling and state not in seen:
+                seen.add(state)
+                stack.append(state)
+    best = [None] * (ceiling + 1)
+    for v, p in seen:
+        if best[v] is None or p < best[v]:
+            best[v] = p
+    return best
+
+
+def test_min_peaks_differential():
+    rng = random.Random(23)
+    for _ in range(300):
+        steps = [rng.randint(-7, 7) for _ in range(rng.randint(1, 3))]
+        ceiling = rng.randint(0, 40)
+        assert one_dim_min_peaks(steps, ceiling) == _brute_min_peaks(
+            steps, ceiling
+        ), (steps, ceiling)
 
 
 def test_one_vas_threshold_examples():
@@ -212,6 +246,39 @@ def test_threshold_axis_contact(gens, target):
     bundle = synthesize_box_witness(vas, target, coefficients=[5, 0])
     assert bundle.path.effect == target
     assert decide_box_reach(vas, target)[0]
+
+
+@pytest.mark.parametrize("fwd, back, w", [(1, 1, 16), (5, 2, 686)])
+def test_threshold_half_plane_axis_contact(fwd, back, w):
+    # the half-plane y <= 0 meets the quadrant only along the x axis, where
+    # the axis-parallel steps form a one-dimensional system: W is its M1
+    vas = VasSystem(2, ((fwd, 0), (-back, 0), (-1, -1)))
+    report = compute_threshold(vas)
+    assert report.case_tag is ThresholdCase.ONE_DIMENSIONAL
+    assert report.w == w == one_vas_threshold(VasSystem(1, ((fwd,), (-back,)))).m1
+    for x in (w, w + 1):
+        ups = -(-x // fwd)
+        ups += (ups * fwd - x) % back  # back divides ups*fwd - x (fwd is odd)
+        path = [0] * ups + [1] * ((ups * fwd - x) // back)
+        bundle = synthesize_box_witness(vas, (x, 0), path=path)
+        assert bundle.path.effect == (x, 0)
+        assert decide_box_reach(vas, (x, 0))[0]
+    with pytest.raises(PreconditionError):
+        synthesize_box_witness(vas, (5, 0), path=[0] * (5 // fwd))
+    # with steps 5, -2 the value 1 is reached by 5, -2, -2, never inside [0, 1]
+    assert decide_box_reach(vas, (1, 0))[0] == (fwd == 1)
+
+
+def test_synthesize_case1_budget_error(ex1, monkeypatch):
+    monkeypatch.setattr(
+        boxreach,
+        "int_cone_member",
+        lambda vas, v: IntConeResult(Membership.UNDECIDED),
+    )
+    w = 702464
+    with pytest.raises(ResourceBudgetError) as exc:
+        synthesize_box_witness(ex1, (w, w), coefficients=[4, 4, 70246])
+    assert exc.value.budget == DEFAULT_INT_CONE_BUDGET
 
 
 def test_threshold_unclassified_shape_raises(monkeypatch):

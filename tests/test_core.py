@@ -138,3 +138,32 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{source.name}: assert statements at lines {lines}"
+
+
+def test_package_has_no_unreferenced_definitions():
+    # a module-level function or class that no module of the package names
+    # (in a call, an attribute or an import) and that is not exported is dead
+    defined: list[tuple[str, str]] = []
+    named: set[str] = set()
+    for source in sorted(Path(boxvas.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        defined += [
+            (source.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    dead = [
+        f"{module}:{name}"
+        for module, name in defined
+        if name not in named and name not in boxvas.__all__
+    ]
+    assert not dead, f"unreferenced definitions: {dead}"
+    missing = [name for name in boxvas.__all__ if not hasattr(boxvas, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"

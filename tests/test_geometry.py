@@ -7,6 +7,7 @@ from boxvas import (
     ConeKind,
     DeepConstant,
     DegenerateSystemError,
+    InternalCheckError,
     Membership,
     PreconditionError,
     QuadrantRelation,
@@ -23,6 +24,7 @@ from boxvas import (
     lattice_member,
 )
 from boxvas.core import dot
+from boxvas.geometry import _solve_two_coin
 
 
 def test_cone_example1(ex1):
@@ -182,3 +184,21 @@ def test_deep_constant_default(ex1):
     assert m.value == 16 * ex1.norm**3
     assert m.provenance == "default"
     assert DeepConstant(5).provenance == "configured"
+
+
+def test_solve_two_coin_differential():
+    rng = random.Random(19)
+    for _ in range(400):
+        p, n = rng.randint(1, 12), -rng.randint(1, 12)
+        m = rng.randint(-60, 60)
+        # the least x of a nonnegative solution is at most |m| + |n|
+        solvable = any(
+            (m - x * p) % n == 0 and (m - x * p) // n >= 0
+            for x in range(abs(m) - n + 1)
+        )
+        if not solvable:
+            with pytest.raises(InternalCheckError):
+                _solve_two_coin(m, p, n)
+            continue
+        x, y = _solve_two_coin(m, p, n)
+        assert x >= 0 and y >= 0 and x * p + y * n == m, (m, p, n)

@@ -149,6 +149,29 @@ def test_semilinear_member():
         semilinear_member(s, -1)
 
 
+def test_semilinear_member_multi_period():
+    rng = random.Random(31)
+    for _ in range(200):
+        comps = tuple(
+            (
+                rng.randint(0, 10),
+                tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(1, 3))
+        )
+        s = SemilinearSet(explicit=frozenset(), components=comps)
+        # brute force: every base plus every coin count up to the limit
+        limit = 60
+        members = set()
+        for base, periods in comps:
+            sums = {base}
+            for p in periods:
+                sums = {v + k * p for v in sums for k in range(limit // p + 1)}
+            members |= sums
+        for n in range(limit + 1):
+            assert semilinear_member(s, n) == (n in members), (comps, n)
+
+
 def test_bounds_compute():
     sys = zigzag_vass()
     b = Vass1Bounds.compute(sys, b_lps=4, maxover=2)
