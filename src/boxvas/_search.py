@@ -104,6 +104,16 @@ def bitmap_has(bitmap: int, cap: Sequence[int], point: Sequence[int]) -> bool:
     return bool((bitmap >> idx) & 1)
 
 
+def _mark_code(moves: int) -> tuple[str, int]:
+    """The smallest array typecode whose cells hold 0, one mark i + 1 per move
+    i and a larger sentinel; returns (typecode, sentinel)."""
+    for code in "BHL":
+        border = (1 << (8 * array(code).itemsize)) - 1
+        if moves < border:
+            break
+    return code, border
+
+
 def bfs_grid(
     generators: Sequence[Vector],
     cap: Sequence[int],
@@ -137,10 +147,7 @@ def bfs_grid(
     offsets = [sum(gk * sk for gk, sk in zip(g, strides)) for g in generators]
     # cell value: 0 unseen, i + 1 reached first by generator i, `border` for
     # the start cell and every cell outside [0, cap]
-    for code in "BHL":
-        border = (1 << (8 * array(code).itemsize)) - 1
-        if len(generators) < border:
-            break
+    code, border = _mark_code(len(generators))
     via = array(code, [border]) * n
     width = cap[-1] + 1
     blank = array(code, [0]) * width

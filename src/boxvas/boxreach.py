@@ -162,7 +162,7 @@ def one_dim_min_peaks(steps: Sequence[int], ceiling: int) -> list[int | None]:
     ``vass1_min_ceilings`` read off at that state.
     """
     loops = Vass1System(("q",), tuple(("q", a, "q") for a in steps))
-    return [mc.get("q") for mc in vass1_min_ceilings(loops, "q", ceiling)]
+    return [None if c < 0 else c for c in vass1_min_ceilings(loops, "q", ceiling)]
 
 
 def _one_dim_steps(vas: VasSystem) -> list[int] | None:

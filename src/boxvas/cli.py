@@ -30,6 +30,7 @@ from .errors import (
     EvidenceError,
     InstanceParseError,
     InternalCheckError,
+    InvalidInputError,
     MalformedPathError,
     PreconditionError,
     ResourceBudgetError,
@@ -292,6 +293,9 @@ def _dispatch(args) -> dict:
             "partial": semi.partial,
             "bounds": {
                 "b_lps": bounds.b_lps,
+                "b_lps_provenance": (
+                    "heuristic" if args.b_lps is None else "configured"
+                ),
                 "maxover": bounds.maxover,
                 "theta_len_bound": bounds.theta_len_bound,
                 "p3": bounds.p3,
@@ -356,7 +360,7 @@ def run_command(argv: Sequence[str]) -> int:
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    except (InstanceParseError, MalformedPathError, ValueError) as e:
+    except (InstanceParseError, InvalidInputError, MalformedPathError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedPathError
+from .errors import InvalidInputError, MalformedPathError
 
 Vector = tuple[int, ...]
 
@@ -61,12 +61,14 @@ class VasSystem:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+            raise InvalidInputError(f"dimension must be >= 1, got {self.dim}")
         gens = tuple(tuple(int(e) for e in g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
             if len(g) != self.dim:
-                raise ValueError(f"generator {g} does not have {self.dim} entries")
+                raise InvalidInputError(
+                    f"generator {g} does not have {self.dim} entries"
+                )
 
     @cached_property
     def norm(self) -> int:
@@ -138,7 +140,7 @@ def is_box_reaching_trace(vas: VasSystem, path: Sequence[int], target: Vector) -
     """True iff ``path`` runs from 0 to ``target`` staying inside [0, target]."""
     target = tuple(target)
     if len(target) != vas.dim:
-        raise ValueError("target dimension mismatch")
+        raise InvalidInputError("target dimension mismatch")
     return PathRecord.record(vas, path).box_reaches(target)
 
 
@@ -146,9 +148,9 @@ def check_target(target: Sequence[int], dim: int) -> Vector:
     """Validate a target vector: correct arity, nonnegative integer entries."""
     t = tuple(int(x) for x in target)
     if len(t) != dim:
-        raise ValueError(f"target {t} does not have {dim} entries")
+        raise InvalidInputError(f"target {t} does not have {dim} entries")
     if any(x < 0 for x in t):
-        raise ValueError(f"target {t} has a negative entry")
+        raise InvalidInputError(f"target {t} has a negative entry")
     return t
 
 

@@ -17,6 +17,11 @@ class DegenerateSystemError(BoxVasError):
     """The system violates a nondegeneracy assumption; the message names it."""
 
 
+class InvalidInputError(BoxVasError, ValueError):
+    """A system, target or constant is malformed: a wrong arity, a negative
+    entry, a duplicate or unknown state name."""
+
+
 class PreconditionError(BoxVasError):
     """A documented precondition of an operation was violated."""
 

@@ -29,6 +29,7 @@ from .core import (
 from .errors import (
     DegenerateSystemError,
     InternalCheckError,
+    InvalidInputError,
     PreconditionError,
     UnsupportedDimensionError,
 )
@@ -69,7 +70,7 @@ class DeepConstant:
 
     def __post_init__(self):
         if self.value < 0:
-            raise ValueError("deep constant must be nonnegative")
+            raise InvalidInputError("deep constant must be nonnegative")
 
 
 def default_deep_constant(vas: VasSystem) -> DeepConstant:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import VasSystem
-from .errors import InstanceParseError, PreconditionError
+from .errors import InstanceParseError, InternalCheckError, PreconditionError
 from .vass1 import Vass1System
 
 
@@ -125,4 +125,4 @@ def serialize_instance(inst: InstanceFile) -> str:
         for src, w, dst in inst.vass1.transitions:
             out.append(f"trans {src} {w} {dst}")
         return "\n".join(out) + "\n"
-    raise ValueError(f"unknown instance kind {inst.kind!r}")
+    raise InternalCheckError(f"unknown instance kind {inst.kind!r}")

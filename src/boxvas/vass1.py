@@ -5,25 +5,37 @@ configuration is (counter value, state).  Box-reachability of (x, q) from a
 start state means reaching it from counter 0 with the counter confined to
 [0, x] throughout (states are unconstrained).
 
+``Vass1System`` numbers its states once and groups its transitions by source
+state, and every search reads that grouping.  The configurations [0, C] x Q
+form one flat table, cell v * |Q| + (state index):
+``vass1_min_ceilings`` fills it with the least ceiling under which each
+configuration is reachable, and ``vass1_box_decide`` is a BFS over the same
+layout.  ``Vass1System.walk`` is the one path check: a single pass giving
+the end states, effect, drop and peak of a path.
+
 The semilinear builder follows the path-scheme characterization: every
 box-reachable value beyond an explicit bound p3 is the effect of a pumped
 scheme alpha beta^k gamma followed by a closing suffix theta (drop 0, peak =
-effect, effect covering the scheme's overshoot).  Enumeration of scheme
-parts is deduplicated by profile (end state, effect, drop, peak): two parts
-with the same profile yield identical linear components, so one
-representative path per profile preserves the emitted union while keeping
-the search tractable.  Every emitted component, like every BFS witness, is
-verified by simulating an actual path (``_is_box_run``) before it is admitted.
+effect, effect covering the scheme's overshoot).  The enumeration carries
+each part's profile (end state, effect, drop, peak) and keeps one
+representative path per profile: two parts with the same profile yield
+identical linear components, so this preserves the emitted union while
+keeping the search tractable.  The closing-suffix effects of every start
+state come from one table of the reversed system, started at the target
+state.  Every emitted component, like every BFS witness, is verified by
+walking an actual path (``_is_box_run``) before it is admitted.
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ._search import DEFAULT_NODE_BUDGET
+from ._search import DEFAULT_NODE_BUDGET, _mark_code
 from .errors import (
     InternalCheckError,
+    InvalidInputError,
     PreconditionError,
     ResourceBudgetError,
 )
@@ -32,71 +44,79 @@ from .geometry import _semigroup_rep
 
 @dataclass(frozen=True)
 class Vass1System:
-    """States plus (source, integer weight, target) transitions."""
+    """States plus (source, integer weight, target) transitions.
+
+    ``index`` numbers the states in order, and ``out[s]`` lists the
+    transitions leaving state index s as (transition index, weight, target
+    index), in transition order."""
 
     states: tuple[str, ...]
     transitions: tuple[tuple[str, int, str], ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    out: tuple[tuple[tuple[int, int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         states = tuple(str(s) for s in self.states)
         trans = tuple(
             (str(src), int(w), str(dst)) for src, w, dst in self.transitions
         )
+        index = {q: s for s, q in enumerate(states)}
+        if len(index) != len(states):
+            raise InvalidInputError("duplicate state names")
+        out: list[list[tuple[int, int, int]]] = [[] for _ in states]
+        for i, (src, w, dst) in enumerate(trans):
+            if src not in index or dst not in index:
+                raise InvalidInputError(f"transition {src}->{dst} uses unknown state")
+            out[index[src]].append((i, w, index[dst]))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", trans)
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state names")
-        known = set(states)
-        for src, _, dst in trans:
-            if src not in known or dst not in known:
-                raise ValueError(f"transition {src}->{dst} uses unknown state")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "out", tuple(map(tuple, out)))
 
     @property
     def norm(self) -> int:
         return max((abs(w) for _, w, _ in self.transitions), default=0)
 
     def check_state(self, q: str) -> None:
-        if q not in self.states:
+        if q not in self.index:
             raise PreconditionError(f"unknown state {q!r}")
 
-    def check_path(self, path: Sequence[int]) -> None:
+    def reversed(self) -> "Vass1System":
+        """The same states with every transition (s, w, d) turned into (d, w, s)."""
+        flipped = tuple((d, w, s) for s, w, d in self.transitions)
+        return Vass1System(self.states, flipped)
+
+    def walk(
+        self, path: Sequence[int]
+    ) -> tuple[str | None, str | None, int, int, int]:
+        """(start state, end state, effect, drop, peak) of ``path`` in one pass.
+
+        Every index must name a transition (a negative one is rejected, not
+        wrapped) and each transition must start where the previous one
+        ended.  The states are None for the empty path; the empty prefix
+        counts, so drop and peak are never negative."""
         n = len(self.transitions)
+        start = end = None
+        acc = lo = hi = 0
         for i in path:
             if not 0 <= i < n:
                 raise PreconditionError(f"transition index {i} out of range")
-        for a, b in zip(path, path[1:]):
-            if self.transitions[a][2] != self.transitions[b][0]:
+            src, w, dst = self.transitions[i]
+            if end is None:
+                start = src
+            elif src != end:
                 raise PreconditionError(
-                    f"transitions {a} and {b} are not state-contiguous"
+                    f"transition {i} does not start at state {end!r}"
                 )
-
-    def outgoing(self, q: str) -> list[int]:
-        return [i for i, (src, _, _) in enumerate(self.transitions) if src == q]
-
-
-def path_weights(sys: Vass1System, path: Sequence[int]) -> list[int]:
-    return [sys.transitions[i][1] for i in path]
-
-
-def path_profile(weights: Sequence[int]) -> tuple[int, int, int]:
-    """(effect, drop, peak) of a weight sequence; the empty prefix counts,
-    so drop and peak are always nonnegative."""
-    acc = lo = hi = 0
-    for w in weights:
-        acc += w
-        if acc < lo:
-            lo = acc
-        elif acc > hi:
-            hi = acc
-    return acc, -lo, hi
-
-
-def path_endpoints(sys: Vass1System, path: Sequence[int]) -> tuple[str, str] | None:
-    """(start state, end state) of a nonempty contiguous path, else None."""
-    if not path:
-        return None
-    sys.check_path(path)
-    return sys.transitions[path[0]][0], sys.transitions[path[-1]][2]
+            end = dst
+            acc += w
+            if acc < lo:
+                lo = acc
+            elif acc > hi:
+                hi = acc
+        return start, end, acc, -lo, hi
 
 
 def _is_box_run(
@@ -104,63 +124,16 @@ def _is_box_run(
 ) -> bool:
     """True iff ``path`` is a run of contiguous transitions from (0, q0) to
     (x, q_target) whose counter stays inside [0, x]."""
-    if (path_endpoints(sys, path) or (q0, q0)) != (q0, q_target):
-        return False
-    eff, drop, peak = path_profile(path_weights(sys, path))
-    return eff == x and drop == 0 and peak <= x
+    start, end, eff, drop, peak = sys.walk(path)
+    if not path:
+        start = end = q0
+    return (start, end) == (q0, q_target) and eff == x and drop == 0 and peak <= x
 
 
-@dataclass(frozen=True)
-class Lps:
-    """A path scheme alpha beta^* gamma with one pumpable cycle beta."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
-
-
-def validate_lps(sys: Vass1System, lps: Lps, b_lps: int | None = None) -> None:
-    whole = lps.alpha + lps.beta + lps.gamma
-    sys.check_path(whole)
-    if not lps.beta:
-        raise PreconditionError("beta must be a nonempty cycle")
-    if sys.transitions[lps.beta[0]][0] != sys.transitions[lps.beta[-1]][2]:
-        raise PreconditionError("beta does not return to its start state")
-    if b_lps is not None:
-        for name, part in (("alpha", lps.alpha), ("beta", lps.beta), ("gamma", lps.gamma)):
-            if len(part) > b_lps:
-                raise PreconditionError(f"{name} exceeds the length bound {b_lps}")
-
-
-def lps_overshoot(sys: Vass1System, lps: Lps) -> int:
-    """Closed-form overshoot of alpha beta^* gamma: independent of the pump
-    count once it exceeds peak(alpha)."""
-    validate_lps(sys, lps)
-    eff_b, _, peak_b = path_profile(path_weights(sys, lps.beta))
-    if eff_b <= 0:
-        raise PreconditionError("beta is not a pumping cycle (effect <= 0)")
-    eff_g, _, peak_g = path_profile(path_weights(sys, lps.gamma))
-    over_b = peak_b - eff_b
-    over_g = peak_g - eff_g
-    return max(over_g, over_b - eff_g)
-
-
-def lps_final_state(sys: Vass1System, lps: Lps) -> str:
-    whole = lps.alpha + lps.beta + lps.gamma
-    return sys.transitions[whole[-1]][2]
-
-
-def closes(sys: Vass1System, theta: Sequence[int], lps: Lps) -> bool:
-    """True iff theta is a box-safe suffix covering the scheme's overshoot:
-    drop 0, peak = effect, effect >= over(alpha beta^* gamma)."""
-    over = lps_overshoot(sys, lps)
-    theta = tuple(theta)
-    sys.check_path(theta)
-    if theta:
-        if sys.transitions[theta[0]][0] != lps_final_state(sys, lps):
-            raise PreconditionError("theta does not start at the scheme's end state")
-    eff_t, drop_t, peak_t = path_profile(path_weights(sys, theta))
-    return drop_t == 0 and peak_t == eff_t and eff_t >= over
+def _overshoot(eff_b: int, peak_b: int, eff_g: int, peak_g: int) -> int:
+    """peak - effect of beta^k gamma for every k >= 1, when beta has a
+    positive effect: the rise a closing suffix must cover."""
+    return max(peak_g - eff_g, (peak_b - eff_b) - eff_g)
 
 
 def default_b_lps(sys: Vass1System) -> int:
@@ -202,6 +175,14 @@ def semilinear_member(s: SemilinearSet, n: int) -> bool:
     )
 
 
+def _offsets(sys: Vass1System) -> list[int]:
+    """Per transition (s, w, d): the flat-table step w * |Q| + d - s."""
+    nq = len(sys.states)
+    return [
+        w * nq + sys.index[dst] - sys.index[src] for src, w, dst in sys.transitions
+    ]
+
+
 def vass1_box_decide(
     sys: Vass1System,
     q0: str,
@@ -210,95 +191,119 @@ def vass1_box_decide(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[bool, list[int] | None]:
     """BFS over configurations [0, x_target] x Q; witness is a transition-index
-    path.  Deterministic: FIFO frontier, transitions tried in index order."""
+    path.  Deterministic: FIFO frontier, transitions tried in index order.
+
+    A cell of the flat table holds 0 unseen, i + 1 when transition i reached
+    it first, or a sentinel for the start; the witness is rebuilt by
+    stepping back from the goal.  Raises ``ResourceBudgetError`` before
+    allocating when the table's (x_target + 1) * |Q| cells exceed
+    ``node_budget``."""
     sys.check_state(q0)
     sys.check_state(q_target)
     if x_target < 0:
         raise PreconditionError("x_target must be nonnegative")
-    start = (0, q0)
-    goal = (x_target, q_target)
-    if start == goal:
+    if x_target == 0 and q0 == q_target:
         return True, []
-    parent: dict[tuple[int, str], tuple[tuple[int, str], int]] = {}
-    seen = {start}
-    frontier = deque([start])
+    nq = len(sys.states)
+    n = (x_target + 1) * nq
+    if n > node_budget:
+        raise ResourceBudgetError(
+            f"configuration table of {n} cells exceeds node budget {node_budget}",
+            node_budget,
+        )
+    offsets = _offsets(sys)
+    moves = [[(offsets[i], i + 1) for i, _, _ in out] for out in sys.out]
+    code, border = _mark_code(len(sys.transitions))
+    via = array(code, [0]) * n
+    start = sys.index[q0]
+    goal = x_target * nq + sys.index[q_target]
+    via[start] = border
+    # level by level: each level lists its cells in discovery order, which is
+    # the order a FIFO queue would pop them; 0 <= q < n is the box test
+    frontier = [start]
     while frontier:
-        x, q = frontier.popleft()
-        for i in sys.outgoing(q):
-            _, w, dst = sys.transitions[i]
-            nxt = (x + w, dst)
-            if nxt in seen or not 0 <= nxt[0] <= x_target:
-                continue
-            seen.add(nxt)
-            parent[nxt] = ((x, q), i)
-            if nxt == goal:
-                path: list[int] = []
-                node = nxt
-                while node != start:
-                    node, idx = parent[node]
-                    path.append(idx)
-                path.reverse()
-                if not _is_box_run(sys, q0, q_target, path, x_target):
-                    raise InternalCheckError("BFS witness failed simulation")
-                return True, path
-            frontier.append(nxt)
-            if len(seen) > node_budget:
-                raise ResourceBudgetError(
-                    f"configuration BFS exceeded node budget {node_budget}",
-                    node_budget,
-                )
+        level: list[int] = []
+        push = level.append
+        for p in frontier:
+            for off, mark in moves[p % nq]:
+                q = p + off
+                if 0 <= q < n and not via[q]:
+                    via[q] = mark
+                    if q == goal:
+                        path: list[int] = []
+                        while q != start:
+                            i = via[q] - 1
+                            path.append(i)
+                            q -= offsets[i]
+                        path.reverse()
+                        if not _is_box_run(sys, q0, q_target, path, x_target):
+                            raise InternalCheckError("BFS witness failed simulation")
+                        return True, path
+                    push(q)
+        frontier = level
     return False, None
 
 
-def vass1_min_ceilings(
-    sys: Vass1System, q0: str, ceiling: int
-) -> list[dict[str, int]]:
-    """minceil[v][q] = smallest C such that (v, q) is reachable from (0, q0)
-    with the counter confined to [0, C]; absent when not reachable that way.
+def vass1_min_ceilings(sys: Vass1System, q0: str, ceiling: int) -> array:
+    """The least-ceiling table over [0, ceiling] x Q: cell v * |Q| + s holds
+    the smallest C such that (v, state s) is reachable from (0, q0) with the
+    counter confined to [0, C], or -1 when it is not reachable that way.
 
     Incremental-ceiling closure: a path with peak exactly C first steps onto
-    value C from below, after which one BFS settles everything through C.
-    In particular (x, q) is box-reachable iff minceil[x][q] == x.
+    value C from below, after which one search settles everything through C.
+    In particular (x, q) is box-reachable iff its cell holds x.
     """
     sys.check_state(q0)
     if ceiling < 0:
         raise PreconditionError("ceiling must be nonnegative")
-    minceil: list[dict[str, int]] = [dict() for _ in range(ceiling + 1)]
-    minceil[0][q0] = 0
-    # closure at ceiling 0 (zero-weight transitions)
-    _vass1_closure(sys, minceil, [(0, q0)], 0)
+    nq = len(sys.states)
+    offsets = _offsets(sys)
+    moves = [[offsets[i] for i, _, _ in out] for out in sys.out]
+    # per state: its positive incoming transitions, as (weight, step)
+    rises: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
+    for out in sys.out:
+        for i, w, d in out:
+            if w > 0:
+                rises[d].append((w, offsets[i]))
+    minceil = array("q", [-1]) * ((ceiling + 1) * nq)
+    start = sys.index[q0]
+    minceil[start] = 0
+    _close(moves, minceil, [start], 0, nq)
     for c in range(1, ceiling + 1):
         seeds = []
-        for q in sys.states:
-            if q in minceil[c]:
+        for cell in range(c * nq, (c + 1) * nq):
+            if minceil[cell] >= 0:
                 continue
-            for src, w, dst in sys.transitions:
-                if dst != q or w <= 0:
-                    continue
-                if 0 <= c - w < c and src in minceil[c - w]:
-                    seeds.append((c, q))
-                    minceil[c][q] = c
+            for w, off in rises[cell % nq]:
+                if w <= c and minceil[cell - off] >= 0:
+                    minceil[cell] = c
+                    seeds.append(cell)
                     break
         if seeds:
-            _vass1_closure(sys, minceil, seeds, c)
+            _close(moves, minceil, seeds, c, nq)
     return minceil
 
 
-def _vass1_closure(
-    sys: Vass1System,
-    minceil: list[dict[str, int]],
-    seeds: list[tuple[int, str]],
-    c: int,
+def _close(
+    moves: list[list[int]], minceil: array, stack: list[int], c: int, nq: int
 ) -> None:
-    queue = list(seeds)
-    while queue:
-        v, q = queue.pop()
-        for i in sys.outgoing(q):
-            _, w, dst = sys.transitions[i]
-            nv = v + w
-            if 0 <= nv <= c and dst not in minceil[nv]:
-                minceil[nv][dst] = c
-                queue.append((nv, dst))
+    """Give ceiling c to every unmarked cell reachable from ``stack`` inside
+    [0, c] x Q; 0 <= q < end is the box test."""
+    end = (c + 1) * nq
+    push = stack.append
+    while stack:
+        p = stack.pop()
+        for off in moves[p % nq]:
+            q = p + off
+            if 0 <= q < end and minceil[q] < 0:
+                minceil[q] = c
+                push(q)
+
+
+def _box_values(minceil: array, nq: int, s: int) -> list[int]:
+    """The values x whose cell at state index s holds x: the box-reachable
+    ones."""
+    return [x for x, c in enumerate(minceil[s::nq]) if c == x]
 
 
 def _pareto2(profiles: dict) -> list:
@@ -318,60 +323,68 @@ def _pareto2(profiles: dict) -> list:
     return out
 
 
+def _exhausted(limit: int) -> ResourceBudgetError:
+    err = ResourceBudgetError(
+        f"scheme enumeration exceeded the budget {limit}", limit
+    )
+    err.partial_result = SemilinearSet(
+        explicit=frozenset(), components=(), partial=True
+    )
+    return err
+
+
 class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
 
-    def spend(self, n: int = 1) -> None:
-        self.used += n
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.limit:
-            raise _BudgetExhausted()
-
-
-class _BudgetExhausted(Exception):
-    pass
+            raise _exhausted(self.limit)
 
 
 def _enumerate_paths(
     sys: Vass1System,
-    start: str,
+    start: int,
     max_len: int,
     budget: _Budget,
     nonneg: bool,
-) -> Iterator[tuple[int, ...]]:
-    """All contiguous paths from ``start`` up to ``max_len`` (including the
-    empty one); with ``nonneg`` only prefixes staying >= 0 are extended."""
-    stack: list[tuple[str, tuple[int, ...], int]] = [(start, (), 0)]
+) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """All contiguous paths from state index ``start`` up to ``max_len``
+    transitions (the empty one included), as (path, end state index, effect,
+    drop, peak); with ``nonneg`` only prefixes staying >= 0 are extended."""
+    stack = [((), start, 0, 0, 0)]
     while stack:
-        q, path, value = stack.pop()
+        item = stack.pop()
         budget.spend()
-        yield path
+        yield item
+        path, s, value, drop, peak = item
         if len(path) == max_len:
             continue
-        for i in sys.outgoing(q):
-            _, w, dst = sys.transitions[i]
-            if nonneg and value + w < 0:
+        for i, w, d in sys.out[s]:
+            v = value + w
+            if nonneg and v < 0:
                 continue
-            stack.append((dst, path + (i,), value + w))
+            stack.append((path + (i,), d, v, max(drop, -v), max(peak, v)))
 
 
 def _simple_cycles_from(
-    sys: Vass1System, q: str, budget: _Budget
-) -> Iterator[tuple[int, ...]]:
-    """Cycles through q with no repeated intermediate state."""
-    stack: list[tuple[str, tuple[int, ...], frozenset[str]]] = [(q, (), frozenset())]
+    sys: Vass1System, s: int, budget: _Budget
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Cycles through state index s with no repeated intermediate state, as
+    (cycle, effect, drop, peak)."""
+    stack = [(s, frozenset(), (), 0, 0, 0)]
     while stack:
-        cur, path, seen = stack.pop()
-        for i in sys.outgoing(cur):
-            _, _, dst = sys.transitions[i]
+        cur, seen, path, value, drop, peak = stack.pop()
+        for i, w, d in sys.out[cur]:
             budget.spend()
-            if dst == q:
-                yield path + (i,)
-                continue
-            if dst in seen:
-                continue
-            stack.append((dst, path + (i,), seen | {dst}))
+            v = value + w
+            step = (path + (i,), v, max(drop, -v), max(peak, v))
+            if d == s:
+                yield step
+            elif d not in seen:
+                stack.append((d, seen | {d}) + step)
 
 
 def build_semilinear(
@@ -386,9 +399,9 @@ def build_semilinear(
     (scheme profile, closing-suffix effect) pair.
 
     Parts are deduplicated by profile; each emitted component is verified by
-    simulating its smallest induced path.  Exhausting the combinatorial
-    budget raises a resource error carrying the partial result in
-    ``partial_result``.
+    walking its smallest induced path.  Exhausting the combinatorial budget
+    raises a resource error whose ``partial_result`` is an empty set marked
+    partial.
     """
     sys.check_state(q0)
     sys.check_state(q_target)
@@ -398,156 +411,132 @@ def build_semilinear(
         raise PreconditionError("b_lps must be >= 1")
     budget = _Budget(node_budget)
     norm = sys.norm
+    nq = len(sys.states)
 
-    try:
-        # alpha: nonnegative-prefix paths from q0, deduped by
-        # (end state, effect, peak)
-        alphas: dict[str, dict[tuple[int, int], tuple[int, ...]]] = {
-            q: {} for q in sys.states
-        }
-        for path in _enumerate_paths(sys, q0, b_lps, budget, nonneg=True):
-            end = q0 if not path else sys.transitions[path[-1]][2]
-            eff, drop, peak = path_profile(path_weights(sys, path))
-            if drop > 0:
-                continue
-            alphas[end].setdefault((eff, peak), path)
+    # alpha: nonnegative-prefix paths from q0 (so of drop 0), deduped by
+    # (end state, effect, peak)
+    alphas: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in range(nq)]
+    for path, end, eff, _, peak in _enumerate_paths(
+        sys, sys.index[q0], b_lps, budget, nonneg=True
+    ):
+        alphas[end].setdefault((eff, peak), path)
 
-        # beta: powers of simple cycles with positive effect, deduped by
-        # (anchor state, effect, drop, peak)
-        betas: dict[str, dict[tuple[int, int, int], tuple[int, ...]]] = {
-            q: {} for q in sys.states
-        }
-        for q in sys.states:
-            for cyc in _simple_cycles_from(sys, q, budget):
-                for reps in range(1, b_lps // len(cyc) + 1):
-                    budget.spend()
-                    powered = cyc * reps
-                    eff, drop, peak = path_profile(path_weights(sys, powered))
-                    if eff <= 0:
-                        continue
-                    betas[q].setdefault((eff, drop, peak), powered)
+    # beta: powers of simple cycles with positive effect, deduped by
+    # (anchor state, effect, drop, peak)
+    betas: list[dict[tuple[int, int, int], tuple[int, ...]]] = [{} for _ in range(nq)]
+    for s in range(nq):
+        for cyc, eff, drop, peak in _simple_cycles_from(sys, s, budget):
+            for reps in range(1, b_lps // len(cyc) + 1):
+                budget.spend()
+                if eff <= 0:
+                    continue
+                # cyc^reps: effect reps * eff, the drop of cyc, and the peak
+                # of its last copy
+                key = (reps * eff, drop, peak + (reps - 1) * eff)
+                if key not in betas[s]:
+                    betas[s][key] = cyc * reps
 
-        # gamma: arbitrary paths, deduped by (start, end, effect, drop, peak)
-        gammas: dict[str, dict[tuple[str, int, int, int], tuple[int, ...]]] = {
-            q: {} for q in sys.states
-        }
-        for q in sys.states:
-            for path in _enumerate_paths(sys, q, b_lps, budget, nonneg=False):
-                end = q if not path else sys.transitions[path[-1]][2]
-                eff, drop, peak = path_profile(path_weights(sys, path))
-                gammas[q].setdefault((end, eff, drop, peak), path)
+    # gamma: arbitrary paths, deduped by (start, end, effect, drop, peak)
+    gammas: list[dict[tuple[int, int, int, int], tuple[int, ...]]] = [
+        {} for _ in range(nq)
+    ]
+    for s in range(nq):
+        for path, end, eff, drop, peak in _enumerate_paths(
+            sys, s, b_lps, budget, nonneg=False
+        ):
+            gammas[s].setdefault((end, eff, drop, peak), path)
 
-        maxover = 0
-        for q1 in sys.states:
-            if not alphas[q1] or not betas[q1]:
-                continue
-            for (eff_b, _, peak_b) in betas[q1]:
-                over_b = peak_b - eff_b
-                for (_, eff_g, _, peak_g) in gammas[q1]:
-                    over = max(peak_g - eff_g, over_b - eff_g)
-                    if over > maxover:
-                        maxover = over
-        bounds = Vass1Bounds.compute(sys, b_lps, maxover)
+    maxover = 0
+    for s in range(nq):
+        if not alphas[s] or not betas[s]:
+            continue
+        for eff_b, _, peak_b in betas[s]:
+            for _, eff_g, _, peak_g in gammas[s]:
+                maxover = max(maxover, _overshoot(eff_b, peak_b, eff_g, peak_g))
+    bounds = Vass1Bounds.compute(sys, b_lps, maxover)
 
-        explicit = _explicit_sweep(sys, q0, q_target, bounds.p3, node_budget)
+    if (bounds.p3 + 1) * nq > node_budget:
+        raise _exhausted(node_budget)
+    explicit = _box_values(
+        vass1_min_ceilings(sys, q0, bounds.p3), nq, sys.index[q_target]
+    )
 
-        # closing-suffix effects per start state: E is achievable iff (E,
-        # q_target) is box-reachable from (0, q_state)
-        e_max = norm * bounds.theta_len_bound
-        theta_effs: dict[str, list[int]] = {}
-        for q in sys.states:
-            mc = vass1_min_ceilings(sys, q, e_max)
-            theta_effs[q] = [e for e in range(e_max + 1) if mc[e].get(q_target) == e]
+    # closing-suffix effects per start state s: E is achievable iff (E,
+    # q_target) is box-reachable from (0, s).  In the reversed system,
+    # v -> E - v turns such a run into a box run from (0, q_target) to
+    # (E, s), so one table answers every s.
+    e_max = norm * bounds.theta_len_bound
+    back = vass1_min_ceilings(sys.reversed(), q_target, e_max)
+    theta_effs = [_box_values(back, nq, s) for s in range(nq)]
 
-        # Union-preserving reductions for the combination loop: a part
-        # profile dominated in (drop, peak) at the same effect only yields
-        # components covered by the dominating one, and per (period,
-        # residue) only the minimal base matters.
-        alpha_front: dict[str, dict[int, tuple[int, tuple[int, ...]]]] = {}
-        for q1, profs in alphas.items():
-            front: dict[int, tuple[int, tuple[int, ...]]] = {}
-            for (eff_a, peak_a), rep in profs.items():
-                cur = front.get(eff_a)
-                if cur is None or peak_a < cur[0]:
-                    front[eff_a] = (peak_a, rep)
-            alpha_front[q1] = front
-        beta_front = {
-            q1: _pareto2({(e, d, p): r for (e, d, p), r in profs.items()})
-            for q1, profs in betas.items()
-        }
-        gamma_front: dict[str, dict[tuple[str, int], list]] = {}
-        for q1, profs in gammas.items():
-            grouped: dict[tuple[str, int], dict[tuple[int, int, int], tuple]] = {}
-            for (q_g, eff_g, drop_g, peak_g), rep in profs.items():
-                grouped.setdefault((q_g, eff_g), {})[(eff_g, drop_g, peak_g)] = rep
-            gamma_front[q1] = {key: _pareto2(g) for key, g in grouped.items()}
+    # Union-preserving reductions for the combination loop: a part
+    # profile dominated in (drop, peak) at the same effect only yields
+    # components covered by the dominating one, and per (period,
+    # residue) only the minimal base matters.
+    alpha_front: list[dict[int, tuple[int, tuple[int, ...]]]] = []
+    for profs in alphas:
+        front: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for (eff_a, peak_a), rep in profs.items():
+            cur = front.get(eff_a)
+            if cur is None or peak_a < cur[0]:
+                front[eff_a] = (peak_a, rep)
+        alpha_front.append(front)
+    beta_front = [_pareto2(profs) for profs in betas]
+    gamma_front: list[dict[tuple[int, int], list]] = []
+    for profs in gammas:
+        grouped: dict[tuple[int, int], dict[tuple[int, int, int], tuple]] = {}
+        for (s_g, eff_g, drop_g, peak_g), rep in profs.items():
+            grouped.setdefault((s_g, eff_g), {})[(eff_g, drop_g, peak_g)] = rep
+        gamma_front.append({key: _pareto2(g) for key, g in grouped.items()})
 
-        # per (start state, period): residue-indexed sorted suffix effects
-        from bisect import bisect_left
+    # per (start state, period): residue-indexed sorted suffix effects
+    eff_by_residue: dict[tuple[int, int], list[list[int]]] = {}
 
-        eff_by_residue: dict[tuple[str, int], list[list[int]]] = {}
+    best: dict[tuple[int, int], tuple[int, tuple, tuple, tuple, int, int, int]] = {}
+    for s in range(nq):
+        for eff_b, drop_b, peak_b, beta in beta_front[s]:
+            for eff_a, (peak_a, alpha) in alpha_front[s].items():
+                if eff_a < drop_b:
+                    continue  # the first cycle iteration would go negative
+                for (s_g, eff_g), gfront in gamma_front[s].items():
+                    for _, drop_g, peak_g, gamma in gfront:
+                        over = _overshoot(eff_b, peak_b, eff_g, peak_g)
+                        key = (s_g, eff_b)
+                        if key not in eff_by_residue:
+                            lists: list[list[int]] = [[] for _ in range(eff_b)]
+                            for e in theta_effs[s_g]:
+                                lists[e % eff_b].append(e)
+                            eff_by_residue[key] = lists
+                        k_min0 = peak_a + 1
+                        for elist in eff_by_residue[key]:
+                            budget.spend()
+                            pos = bisect_left(elist, over)
+                            if pos == len(elist):
+                                continue
+                            e = elist[pos]
+                            k_min = k_min0
+                            need = drop_g - eff_a
+                            if need > k_min * eff_b:
+                                k_min = -(-need // eff_b)
+                            base = eff_a + k_min * eff_b + eff_g + e
+                            ckey = (eff_b, base % eff_b)
+                            cur = best.get(ckey)
+                            if cur is None or base < cur[0]:
+                                best[ckey] = (base, alpha, beta, gamma, k_min, e, s_g)
 
-        best: dict[tuple[int, int], tuple[int, tuple, tuple, tuple, int, int]] = {}
-        for q1 in sys.states:
-            for eff_b, drop_b, peak_b, beta in beta_front.get(q1, []):
-                over_b = peak_b - eff_b
-                for eff_a, (peak_a, alpha) in alpha_front[q1].items():
-                    if eff_a < drop_b:
-                        continue  # the first cycle iteration would go negative
-                    for (q_g, eff_g), gfront in gamma_front[q1].items():
-                        for _, drop_g, peak_g, gamma in gfront:
-                            over = max(peak_g - eff_g, over_b - eff_g)
-                            key = (q_g, eff_b)
-                            if key not in eff_by_residue:
-                                lists: list[list[int]] = [[] for _ in range(eff_b)]
-                                for e in theta_effs[q_g]:
-                                    lists[e % eff_b].append(e)
-                                eff_by_residue[key] = lists
-                            k_min0 = peak_a + 1
-                            for elist in eff_by_residue[key]:
-                                budget.spend()
-                                pos = bisect_left(elist, over)
-                                if pos == len(elist):
-                                    continue
-                                e = elist[pos]
-                                k_min = k_min0
-                                need = drop_g - eff_a
-                                if need > k_min * eff_b:
-                                    k_min = -(-need // eff_b)
-                                base = eff_a + k_min * eff_b + eff_g + e
-                                ckey = (eff_b, base % eff_b)
-                                cur = best.get(ckey)
-                                if cur is None or base < cur[0]:
-                                    best[ckey] = (
-                                        base, alpha, beta, gamma, k_min, e
-                                    )
-
-        components: dict[tuple[int, int], None] = {}
-        theta_paths: dict[tuple[str, int], list[int]] = {}
-        for (eff_b, _), (base, alpha, beta, gamma, k_min, e) in best.items():
-            q_g = q0 if not (alpha + beta + gamma) else sys.transitions[
-                (alpha + beta + gamma)[-1]
-            ][2]
-            tp = theta_paths.get((q_g, e))
-            if tp is None:
-                ok, tp = vass1_box_decide(sys, q_g, q_target, e, node_budget)
-                if not ok or tp is None:
-                    raise InternalCheckError(
-                        "closing-suffix effect lost its witness"
-                    )
-                theta_paths[(q_g, e)] = tp
-            induced = list(alpha) + list(beta) * k_min + list(gamma) + tp
-            if not _is_box_run(sys, q0, q_target, induced, base):
-                raise InternalCheckError("induced scheme path failed simulation")
-            components[(base, eff_b)] = None
-    except _BudgetExhausted:
-        err = ResourceBudgetError(
-            f"scheme enumeration exceeded the budget {node_budget}", node_budget
-        )
-        err.partial_result = SemilinearSet(
-            explicit=frozenset(), components=(), partial=True
-        )
-        raise err
+    components: dict[tuple[int, int], None] = {}
+    theta_paths: dict[tuple[int, int], list[int]] = {}
+    for (eff_b, _), (base, alpha, beta, gamma, k_min, e, s_g) in best.items():
+        tp = theta_paths.get((s_g, e))
+        if tp is None:
+            ok, tp = vass1_box_decide(sys, sys.states[s_g], q_target, e, node_budget)
+            if not ok or tp is None:
+                raise InternalCheckError("closing-suffix effect lost its witness")
+            theta_paths[(s_g, e)] = tp
+        induced = list(alpha) + list(beta) * k_min + list(gamma) + tp
+        if not _is_box_run(sys, q0, q_target, induced, base):
+            raise InternalCheckError("induced scheme path failed simulation")
+        components[(base, eff_b)] = None
 
     result = SemilinearSet(
         explicit=frozenset(explicit),
@@ -555,12 +544,3 @@ def build_semilinear(
         partial=False,
     )
     return result, bounds
-
-
-def _explicit_sweep(
-    sys: Vass1System, q0: str, q_target: str, p3: int, node_budget: int
-) -> set[int]:
-    if (p3 + 1) * len(sys.states) > node_budget:
-        raise _BudgetExhausted()
-    mc = vass1_min_ceilings(sys, q0, p3)
-    return {x for x in range(p3 + 1) if mc[x].get(q_target) == x}

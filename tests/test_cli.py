@@ -10,6 +10,7 @@ from boxvas import (
     parse_instance,
     serialize_instance,
 )
+from boxvas import cli
 from boxvas.cli import run_command
 
 from conftest import EX1_GENS, random_vas
@@ -209,6 +210,33 @@ def test_cli_vass1(vass1_file, capsys):
     assert code == 0
     assert 2 in env["result"]["explicit"]
     assert env["result"]["partial"] is False
+
+
+def test_cli_b_lps_provenance(vass1_file, capsys):
+    base = ["vass1-semilinear", "--instance", vass1_file, "--to", "q"]
+    for extra, provenance in (([], "heuristic"), (["--b-lps", "6"], "configured")):
+        code, env, _ = run_json(capsys, base + extra)
+        assert code == 0
+        assert env["result"]["bounds"]["b_lps_provenance"] == provenance
+        assert set(env) == {"command", "result", "timing_ms", "budget", "warnings"}
+
+
+def test_cli_engine_valueerror_is_not_a_usage_error(
+    vass1_file, tmp_path, monkeypatch, capsys
+):
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli, "vass1_box_decide", broken)
+    argv = ["vass1-decide", "--instance", vass1_file, "--to", "q", "--x", "2"]
+    with pytest.raises(ValueError, match="engine fault"):
+        run_command(argv)
+    capsys.readouterr()
+    # a malformed system is still a usage error
+    dup = tmp_path / "dup.vass1"
+    dup.write_text("vass1\nstates p p\ninit p\n")
+    argv = ["vass1-decide", "--instance", str(dup), "--to", "p", "--x", "0"]
+    assert run_command(argv) == 2
 
 
 def test_cli_exit_codes(ex1_file, vass1_file, tmp_path, capsys):

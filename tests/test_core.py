@@ -140,6 +140,24 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{source.name}: assert statements at lines {lines}"
 
 
+def test_package_has_no_raise_valueerror():
+    # cli maps InvalidInputError to a usage error; a bare ValueError from the
+    # package would be an engine fault passed off as one
+    for source in sorted(Path(boxvas.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        raised = [
+            (n.lineno, n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Raise) and n.exc is not None
+        ]
+        lines = [
+            no
+            for no, exc in raised
+            if isinstance(exc, ast.Name) and exc.id == "ValueError"
+        ]
+        assert not lines, f"{source.name}: raise ValueError at lines {lines}"
+
+
 def test_package_has_no_unreferenced_definitions():
     # a module-level function or class that no module of the package names
     # (in a call, an attribute or an import) and that is not exported is dead

@@ -1,25 +1,24 @@
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxvas import (
-    Lps,
     PreconditionError,
     ResourceBudgetError,
     SemilinearSet,
     Vass1Bounds,
     Vass1System,
     build_semilinear,
-    closes,
     default_b_lps,
-    lps_overshoot,
-    path_profile,
+    one_dim_min_peaks,
     semilinear_member,
-    validate_lps,
     vass1_box_decide,
     vass1_min_ceilings,
 )
+from boxvas.vass1 import _box_values, _overshoot
 
 from conftest import zigzag_vass
 
@@ -50,13 +49,22 @@ def test_system_validation():
     with pytest.raises(PreconditionError):
         sys.check_state("9")
     with pytest.raises(PreconditionError):
-        sys.check_path([0, 0])  # "0" -> "7" then expects source "7"
+        sys.walk([0, 0])  # "0" -> "7" then expects source "7"
 
 
-def test_path_profile():
-    assert path_profile([]) == (0, 0, 0)
-    assert path_profile([2, -3, 4]) == (3, 1, 3)
-    assert path_profile([-1]) == (-1, 1, 0)
+def test_walk():
+    # the three weight sequences [], [2, -3, 4] and [-1] as self-loop paths
+    sys = Vass1System(("a",), tuple(("a", w, "a") for w in (2, -3, 4, -1)))
+    assert sys.walk([]) == (None, None, 0, 0, 0)
+    assert sys.walk([0, 1, 2]) == ("a", "a", 3, 1, 3)
+    assert sys.walk([3]) == ("a", "a", -1, 1, 0)
+    two = Vass1System(("p", "q"), (("p", 2, "q"), ("q", -1, "p")))
+    assert two.walk([0, 1, 0]) == ("p", "q", 3, 0, 3)
+    for bad in ([-1], [0, -2], [2], [0, 1, 5]):  # negative or out of range
+        with pytest.raises(PreconditionError, match="out of range"):
+            two.walk(bad)
+    with pytest.raises(PreconditionError, match="does not start"):
+        two.walk([0, 0])
 
 
 def test_box_decide_zigzag():
@@ -75,62 +83,142 @@ def test_box_decide_budget():
         vass1_box_decide(sys, "0", "8", 10**6, node_budget=100)
 
 
-def test_lps_overshoot():
-    lps = Lps(alpha=(), beta=(0, 1), gamma=(1,))
-    # beta climbs to 2 before settling at +1; gamma dips by 1
-    assert lps_overshoot(LOOPS, lps) == 2
-    with pytest.raises(PreconditionError):
-        lps_overshoot(LOOPS, Lps(alpha=(), beta=(1,), gamma=()))
+def test_box_decide_budget_precheck_allocates_nothing():
+    sys = zigzag_vass()  # 9 states: the table would hold 900,009 cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            vass1_box_decide(sys, "0", "8", 100_000, node_budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
-def test_validate_lps():
-    with pytest.raises(PreconditionError):
-        validate_lps(LOOPS, Lps(alpha=(), beta=(), gamma=()))
-    with pytest.raises(PreconditionError):
-        validate_lps(LOOPS, Lps(alpha=(), beta=(0, 1), gamma=()), b_lps=1)
-    two = Vass1System(("a", "b"), (("a", 1, "b"), ("b", 1, "a")))
-    with pytest.raises(PreconditionError):
-        validate_lps(two, Lps(alpha=(), beta=(0,), gamma=(1,)))
-    validate_lps(two, Lps(alpha=(), beta=(0, 1), gamma=()))
+def reference_box_decide(sys, q0, q_target, x_target):
+    """The dict/tuple BFS over [0, x_target] x Q: FIFO, transitions tried in
+    index order, parents kept per configuration."""
+    start, goal = (0, q0), (x_target, q_target)
+    if start == goal:
+        return True, []
+    parent = {}
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        x, q = frontier.popleft()
+        for i, (src, w, dst) in enumerate(sys.transitions):
+            nxt = (x + w, dst)
+            if src != q or nxt in seen or not 0 <= nxt[0] <= x_target:
+                continue
+            seen.add(nxt)
+            parent[nxt] = ((x, q), i)
+            if nxt == goal:
+                path = []
+                while nxt != start:
+                    nxt, i = parent[nxt]
+                    path.append(i)
+                return True, path[::-1]
+            frontier.append(nxt)
+    return False, None
 
 
-def test_closes():
-    lps = Lps(alpha=(), beta=(0, 1), gamma=(1,))
-    assert closes(LOOPS, (0,), lps)  # effect 2 >= overshoot 2, never dips
-    assert not closes(LOOPS, (1,), lps)
-    assert not closes(LOOPS, (), lps)  # effect 0 < overshoot 2
-    assert not closes(LOOPS, (0, 1), lps)  # peak 2 != effect 1
+def reference_min_ceilings(sys, q0, ceiling):
+    """The closure with one dict per counter value: minceil[v][q] is the
+    least ceiling under which (v, q) is reachable, absent when none is."""
+    minceil = [{} for _ in range(ceiling + 1)]
+    minceil[0][q0] = 0
+
+    def close(stack, c):
+        while stack:
+            v, q = stack.pop()
+            for src, w, dst in sys.transitions:
+                if src == q and 0 <= v + w <= c and dst not in minceil[v + w]:
+                    minceil[v + w][dst] = c
+                    stack.append((v + w, dst))
+
+    close([(0, q0)], 0)
+    for c in range(1, ceiling + 1):
+        seeds = []
+        for q in sys.states:
+            if q not in minceil[c] and any(
+                dst == q and 0 < w <= c and src in minceil[c - w]
+                for src, w, dst in sys.transitions
+            ):
+                minceil[c][q] = c
+                seeds.append((c, q))
+        close(seeds, c)
+    return minceil
+
+
+def test_flat_tables_match_dict_references():
+    rng = random.Random(606)
+    for _ in range(1000):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+        trans = tuple(
+            (rng.choice(states), rng.randint(-4, 4), rng.choice(states))
+            for _ in range(rng.randint(1, 6))
+        )
+        sys = Vass1System(states, trans)
+        q0, q = rng.choice(states), rng.choice(states)
+        x = rng.randint(0, 40)
+        case = (trans, q0, q, x)
+        expected = reference_box_decide(sys, q0, q, x)
+        assert vass1_box_decide(sys, q0, q, x) == expected, case
+        ref = reference_min_ceilings(sys, q0, x)
+        flat = [ref[v].get(s, -1) for v in range(x + 1) for s in states]
+        assert list(vass1_min_ceilings(sys, q0, x)) == flat, case
+        # closing-suffix effects: one reversed table from q against one
+        # table per start state
+        back = vass1_min_ceilings(sys.reversed(), q, x)
+        for s, name in enumerate(states):
+            per_state = reference_min_ceilings(sys, name, x)
+            direct = [e for e in range(x + 1) if per_state[e].get(q) == e]
+            assert _box_values(back, len(states), s) == direct, (case, name)
+
+
+def test_one_dim_tables_stay_small():
+    # steps 17, -13 at the ceiling one_vas_threshold uses for them
+    loops = Vass1System(("q",), (("q", 17, "q"), ("q", -13, "q")))
+    for build, limit in (
+        (lambda: vass1_min_ceilings(loops, "q", 54_060), 1 << 20),
+        (lambda: one_dim_min_peaks([17, -13], 54_060), 3 << 20),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
 
 
 def test_overshoot_matches_direct_simulation():
     rng = random.Random(17)
     for _ in range(200):
-        n = rng.randint(1, 3)
         beta = tuple(rng.choice([0, 1]) for _ in range(rng.randint(1, 4)))
         gamma = tuple(rng.choice([0, 1]) for _ in range(rng.randint(0, 4)))
-        lps = Lps(alpha=(), beta=beta, gamma=gamma)
-        eff_b = sum(LOOPS.transitions[i][1] for i in beta)
+        _, _, eff_b, _, peak_b = LOOPS.walk(beta)
+        _, _, eff_g, _, peak_g = LOOPS.walk(gamma)
         if eff_b <= 0:
             continue
-        over = lps_overshoot(LOOPS, lps)
-        # overshoot = peak - effect of beta^k gamma for any large enough k
+        over = _overshoot(eff_b, peak_b, eff_g, peak_g)
+        # overshoot = peak - effect of beta^k gamma for any k >= 1
         for k in (1, 2, 5):
-            w = [LOOPS.transitions[i][1] for i in beta * k + gamma]
-            eff, _, peak = path_profile(w)
-            assert peak - eff == over, (lps, k)
-        del n
+            _, _, eff, _, peak = LOOPS.walk(beta * k + gamma)
+            assert peak - eff == over, (beta, gamma, k)
 
 
 def test_min_ceilings_single_state():
     sys = Vass1System(("a",), (("a", 5, "a"), ("a", -2, "a")))
-    mc = vass1_min_ceilings(sys, "a", 10)
-    assert mc[0]["a"] == 0
-    assert mc[5]["a"] == 5
-    assert mc[6]["a"] == 6  # 5, 3, 1, 6
-    assert mc[3]["a"] == 5
-    assert mc[1]["a"] == 5
-    assert "a" not in mc[2] or mc[2]["a"] == 6
-    assert "a" not in mc[4] or mc[4]["a"] == 6
+    mc = vass1_min_ceilings(sys, "a", 10)  # one state: cell v is value v
+    assert len(mc) == 11
+    assert mc[0] == 0
+    assert mc[5] == 5
+    assert mc[6] == 6  # 5, 3, 1, 6
+    assert mc[3] == 5
+    assert mc[1] == 5
+    assert mc[2] in (-1, 6)
+    assert mc[4] in (-1, 6)
 
 
 def test_semilinear_member():
