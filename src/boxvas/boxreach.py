@@ -83,6 +83,9 @@ class WitnessBundle:
     path: PathRecord
     target: Vector
     method: WitnessMethod
+    # proof case 1 only: where the multiset behind the reordered middle came
+    # from, "evidence" (the caller's) or "integer-cone" (a fresh solve)
+    rho_source: str | None = None
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,41 @@ class WindowReport:
 
 
 def _bundle(
-    vas: VasSystem, indices: Sequence[int], target: Vector, method: WitnessMethod
+    vas: VasSystem,
+    indices: Sequence[int],
+    target: Vector,
+    method: WitnessMethod,
+    rho_source: str | None = None,
 ) -> WitnessBundle:
     record = PathRecord.record(vas, indices)
     if not record.box_reaches(target):
         raise InternalCheckError(
             f"constructed witness does not box-reach {target}"
         )
-    return WitnessBundle(path=record, target=target, method=method)
+    return WitnessBundle(
+        path=record, target=target, method=method, rho_source=rho_source
+    )
+
+
+def witness_length_lower_bound(vas: VasSystem, target: Sequence[int]) -> int:
+    """The fewest steps of any path from 0 to ``target``.
+
+    One step raises coordinate k by at most the largest positive entry of a
+    generator in coordinate k, so t_k needs at least ceil(t_k / that entry)
+    steps; the bound is the largest of these over the positive coordinates.
+    """
+    bound = 0
+    for k, x in enumerate(check_target(target, vas.dim)):
+        if x == 0:
+            continue
+        top = max(g[k] for g in vas.generators)
+        if top <= 0:
+            raise PreconditionError(
+                f"no generator raises coordinate {k}, so {tuple(target)} "
+                "is unreachable"
+            )
+        bound = max(bound, -(-x // top))
+    return bound
 
 
 def decide_box_reach(
@@ -374,7 +404,17 @@ def synthesize_box_witness(
     generator coefficients, or an unconstrained-from-above path.  The shallow
     branch of the intersects-quadrant case consumes facet-parallel steps of
     the evidence path, so coefficients alone are rejected there.
-    The result is re-verified before being returned.
+
+    Proof case 1 emits theta . rho . theta, where theta is the seed path to
+    s_pos and rho reorders a multiset of generators summing to
+    r = t - 2*s_pos.  That multiset is the evidence's generator counts minus
+    the two copies of theta whenever no count goes negative, so the witness
+    is exactly as long as the evidence (``rho_source`` "evidence").
+    Otherwise it falls back to a fresh ``int_cone_member`` solve for r
+    (``rho_source`` "integer-cone"), which raises ``ResourceBudgetError``
+    when that solve is UNDECIDED.  The result is re-verified before being
+    returned; a constructed path that fails the check raises
+    ``InternalCheckError`` on either route, with no second attempt.
     """
     if vas.dim != 2:
         raise UnsupportedDimensionError("witness synthesis requires dim 2")
@@ -429,7 +469,7 @@ def synthesize_box_witness(
     if report.case_tag is ThresholdCase.CONTAINED_IN_QUADRANT:
         # all generators nonnegative: any multiset order is box-reaching
         order = reorder_counts(vas, counts)
-        return _bundle(vas, order, t, WitnessMethod.PROOF_CASE_1)
+        return _bundle(vas, order, t, WitnessMethod.PROOF_CASE_1, "evidence")
 
     cone = cone_from_generators(vas)
     seed = compute_seed(vas)
@@ -437,6 +477,17 @@ def synthesize_box_witness(
     r = vec_sub(t, vec_scale(2, seed.s_pos))
 
     def case1() -> WitnessBundle:
+        # any multiset summing to r serves as rho, since the reordering bound
+        # depends only on the generators; the evidence minus two copies of
+        # theta is one whenever it stays nonnegative
+        rest = counts[:]
+        for i in theta:
+            rest[i] -= 2
+        if min(rest) >= 0:
+            rho = reorder_counts(vas, rest)
+            return _bundle(
+                vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "evidence"
+            )
         res = int_cone_member(vas, r)
         if res.status is Membership.UNDECIDED:
             raise ResourceBudgetError(
@@ -448,7 +499,9 @@ def synthesize_box_witness(
                 "deep-point argument"
             )
         rho = reorder_counts(vas, res.coefficients)
-        return _bundle(vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1)
+        return _bundle(
+            vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "integer-cone"
+        )
 
     if report.case_tag in (
         ThresholdCase.CONTAINS_QUADRANT,

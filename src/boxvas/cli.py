@@ -22,6 +22,7 @@ from .boxreach import (
     decide_reach_capped,
     synthesize_box_witness,
     verify_window,
+    witness_length_lower_bound,
 )
 # is_box_reaching_trace is not called here; perfbench/tracing.py patches it
 from .core import VasSystem, is_box_reaching_trace
@@ -72,6 +73,13 @@ def _load_instance(path: str) -> InstanceFile:
         raise _UsageError(f"cannot read instance file {path!r}: {e}")
 
 
+def _node_budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _require_vas(inst: InstanceFile) -> VasSystem:
     if inst.kind != "vas" or inst.vas is None:
         raise _UsageError("this command requires a 'vas' instance")
@@ -91,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("--instance", required=True, help="instance file path")
-        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+        p.add_argument("--node-budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is single-threaded")
 
     p = sub.add_parser("decide-box", help="exact box-reachability decision")
@@ -220,11 +228,15 @@ def _dispatch(args) -> dict:
             bundle = synthesize_box_witness(vas, target, coefficients=values, m=m)
         else:
             bundle = synthesize_box_witness(vas, target, path=values, m=m)
-        return {
+        result = {
             "method": bundle.method.value,
             "witness": list(bundle.path.indices),
             "length": len(bundle.path),
+            "length_lower_bound": witness_length_lower_bound(vas, bundle.target),
         }
+        if bundle.rho_source is not None:
+            result["rho_source"] = bundle.rho_source
+        return result
 
     if cmd == "lift":
         vas = _require_vas(_load_instance(args.instance))
@@ -316,7 +328,10 @@ def _summary(result: dict) -> str:
     if "permutation" in result:
         return f"permutation of {len(result['permutation'])} vectors, bound {result['corridor_bound']}"
     if "method" in result:
-        return f"witness via {result['method']}, length {result['length']}"
+        return (
+            f"witness via {result['method']}, length {result['length']} "
+            f"(lower bound {result['length_lower_bound']})"
+        )
     if "violations" in result:
         return f"checked {result['checked']}, violations {len(result['violations'])}"
     if "explicit" in result:

@@ -21,9 +21,11 @@ from boxvas import (
     is_box_reaching_trace,
     one_dim_min_peaks,
     one_vas_threshold,
+    reorder_counts,
     serialize_instance,
     synthesize_box_witness,
     verify_window,
+    witness_length_lower_bound,
 )
 from boxvas import boxreach, core
 from boxvas.cli import run_command
@@ -32,6 +34,8 @@ from boxvas.geometry import (
     IntConeResult,
     Membership,
     QuadrantRelation,
+    compute_seed,
+    int_cone_member,
 )
 
 from conftest import random_vas
@@ -276,8 +280,10 @@ def test_synthesize_case1_budget_error(ex1, monkeypatch):
         lambda vas, v: IntConeResult(Membership.UNDECIDED),
     )
     w = 702464
+    # no copy of generator 2, so theta cannot come out of the evidence and
+    # the integer-cone fallback runs
     with pytest.raises(ResourceBudgetError) as exc:
-        synthesize_box_witness(ex1, (w, w), coefficients=[4, 4, 70246])
+        synthesize_box_witness(ex1, (w, w), coefficients=[702464, 702464, 0])
     assert exc.value.budget == DEFAULT_INT_CONE_BUDGET
 
 
@@ -305,6 +311,111 @@ def test_synthesize_case1(ex1):
     assert is_box_reaching_trace(ex1, bundle.path.indices, (w, w))
 
 
+def _refuse_int_cone(vas, v):
+    raise AssertionError("the integer-cone fallback ran")
+
+
+@pytest.mark.parametrize(
+    "evidence",
+    [
+        {"coefficients": [4, 4, 70246]},
+        {"path": [2] * 70246 + [0, 1] * 4},
+    ],
+    ids=["coefficients", "path"],
+)
+def test_synthesize_case1_from_evidence(ex1, monkeypatch, evidence):
+    monkeypatch.setattr(boxreach, "int_cone_member", _refuse_int_cone)
+    w = 702464
+    bundle = synthesize_box_witness(ex1, (w, w), **evidence)
+    assert bundle.method is WitnessMethod.PROOF_CASE_1
+    assert bundle.rho_source == "evidence"
+    assert len(bundle.path) == 70254
+    assert is_box_reaching_trace(ex1, bundle.path.indices, (w, w))
+    assert witness_length_lower_bound(ex1, (w, w)) == 70247
+
+
+def test_synthesize_case1_fallback_reorders_int_cone_solution():
+    # (-1,1),(1,0) bound a cone holding the quadrant; theta is 12 copies of
+    # (1,1), and the evidence holds only one, so rho comes from a fresh solve
+    vas = VasSystem(2, ((-1, 1), (1, 0), (1, 1)))
+    m = DeepConstant(0, "configured")
+    report = compute_threshold(vas, m)
+    assert report.case_tag is ThresholdCase.CONTAINS_QUADRANT
+    w = report.w
+    t = (w + 1, w + 1)
+    bundle = synthesize_box_witness(vas, t, coefficients=[w, 2 * w, 1], m=m)
+    seed = compute_seed(vas)
+    theta = list(seed.pos_witness_indices())
+    r = (t[0] - 2 * seed.s_pos[0], t[1] - 2 * seed.s_pos[1])
+    rho = reorder_counts(vas, int_cone_member(vas, r).coefficients)
+    assert bundle.rho_source == "integer-cone"
+    assert list(bundle.path.indices) == theta + rho + theta
+
+
+def _random_case1_system(rng):
+    """A small contains-quadrant, half-plane or intersects-quadrant 2-VAS with
+    the strictly positive generator p last, and evidence counts for a target
+    at or above W under M = 0 (deep, for the intersects case).  Half of the
+    contains-quadrant evidence holds too few copies of p to cover two copies
+    of theta."""
+    m = DeepConstant(0, "configured")
+    kind = rng.choice(["contains", "half-plane", "intersects"])
+    if kind == "contains":
+        while True:
+            a, b = rng.randint(0, 2), rng.randint(1, 2)
+            c, d = rng.randint(1, 2), rng.randint(0, 2)
+            if a + d > 0 and b * c - a * d > 0:
+                break
+        p = (rng.randint(1, 2), rng.randint(1, 2))
+        vas = VasSystem(2, ((-a, b), (c, -d), p))
+        w = compute_threshold(vas, m).w
+        # d*u + b*v = (D, 0) and c*u + a*v = (0, D)
+        det = b * c - a * d
+        x, y = (-(-w // det) + rng.randint(0, 50) for _ in range(2))
+        few = rng.random() < 0.5
+        k = rng.randint(0, 4 * vas.norm - 1) if few else rng.randint(0, w)
+        counts = [d * x + c * y, b * x + a * y, k]
+    elif kind == "half-plane":
+        u = rng.choice([(1, 0), (0, -1), (1, -1)])
+        p = (rng.randint(1, 2), 1)
+        vas = VasSystem(2, (u, (-u[0], -u[1]), p))
+        w = compute_threshold(vas, m).w
+        counts = [rng.randint(0, 300), rng.randint(0, 300), 0]
+    else:
+        neg = rng.choice([(0, -1), (1, -1)])
+        if rng.random() < 0.5:
+            neg = (neg[1], neg[0])
+        p = (1, 1)
+        vas = VasSystem(2, (neg, p))
+        w = compute_threshold(vas, m).w
+        counts = [rng.randint(1, 50), 0]
+    # top up with p until both coordinates reach W
+    t = [sum(c * g[k] for c, g in zip(counts, vas.generators)) for k in range(2)]
+    counts[-1] += max(0, *(-(-(w - t[k]) // p[k]) for k in range(2)))
+    t = tuple(sum(c * g[k] for c, g in zip(counts, vas.generators)) for k in range(2))
+    return vas, m, counts, t
+
+
+def test_synthesize_case1_evidence_differential():
+    rng = random.Random(7)
+    routes = {"evidence": 0, "integer-cone": 0}
+    for _ in range(200):
+        vas, m, counts, t = _random_case1_system(rng)
+        bundle = synthesize_box_witness(vas, t, coefficients=counts, m=m)
+        assert bundle.method is WitnessMethod.PROOF_CASE_1
+        assert bundle.path.box_reaches(t)
+        theta = compute_seed(vas).pos_witness_indices()
+        rest = [c - 2 * theta.count(i) for i, c in enumerate(counts)]
+        if min(rest) >= 0:
+            assert bundle.rho_source == "evidence"
+            assert len(bundle.path) == sum(counts)
+        else:
+            assert bundle.rho_source == "integer-cone"
+        assert witness_length_lower_bound(vas, t) <= len(bundle.path)
+        routes[bundle.rho_source] += 1
+    assert min(routes.values()) >= 20, routes
+
+
 def test_each_witness_walked_once(ex1, tmp_path, monkeypatch, capsys):
     walked = []
     kernel = core.walk
@@ -327,6 +438,13 @@ def test_each_witness_walked_once(ex1, tmp_path, monkeypatch, capsys):
     walked.clear()
     argv = ["witness", "--instance", str(instance), "--target", f"{w},{w}",
             "--evidence", "coeffs", "--values", "4,4,70246"]
+    assert run_command(argv) == 0
+    witness = tuple(json.loads(capsys.readouterr().out)["result"]["witness"])
+    assert walked.count(witness) == 1
+
+    walked.clear()
+    path = ",".join(map(str, [2] * 70246 + [0, 1] * 4))
+    argv[-3:] = ["path", "--values", path]
     assert run_command(argv) == 0
     witness = tuple(json.loads(capsys.readouterr().out)["result"]["witness"])
     assert walked.count(witness) == 1

@@ -288,6 +288,31 @@ def test_cli_exit_codes(ex1_file, vass1_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_negative_node_budget_is_a_usage_error(ex1_file, capsys):
+    decide = ["decide-box", "--instance", ex1_file, "--target", "21,21"]
+    code, env, err = run_json(capsys, decide + ["--node-budget", "-1"])
+    assert (code, env) == (2, None)
+    assert "nonnegative" in err
+    # a zero budget is well formed, and the grid exceeds it
+    assert run_json(capsys, decide + ["--node-budget", "0"])[0] == 4
+
+
+def test_cli_witness_reports_length_lower_bound(ex1_file, capsys):
+    code, env, err = run_json(
+        capsys,
+        ["witness", "--instance", ex1_file, "--target", "702464,702464",
+         "--evidence", "coeffs", "--values", "4,4,70246"],
+    )
+    assert code == 0
+    result = env["result"]
+    assert result["method"] == "proof-case-1"
+    assert result["rho_source"] == "evidence"
+    assert (result["length"], result["length_lower_bound"]) == (70254, 70247)
+    assert err.strip() == (
+        "witness via proof-case-1, length 70254 (lower bound 70247)"
+    )
+
+
 def test_cli_parser_shares_nothing_between_calls(ex1_file, capsys):
     decide = ["decide-box", "--instance", ex1_file, "--target", "21,21"]
     over_budget = decide + ["--node-budget", "10"]
