@@ -1,17 +1,18 @@
-"""Paired benchmark runs of a parent commit against the working tree.
+"""Paired benchmark runs of a parent commit against HEAD.
 
-    python3 scripts/bench_pairs.py --parent HEAD --seeds 101-110 --out BENCH_7.json
+    python3 scripts/bench_pairs.py --parent <base-commit> --seeds 101-110 --out BENCH_7.json
 
-Runs the unchanged ``perfbench/run.py`` as a subprocess in two source trees:
-a snapshot of ``--parent`` extracted with ``git archive`` into a temporary
-directory, and this checkout's working tree.  For every workload and seed it
-runs one pair, alternating which side goes first, so that a drift in machine
-speed weighs on both sides alike.  After the untraced pairs it runs one
+Runs the unchanged ``perfbench/run.py`` as a subprocess in two source trees,
+snapshots of ``--parent`` and of HEAD, each extracted with ``git archive``
+into a temporary directory, so the recorded commits are exactly the code
+that ran; uncommitted edits are not measured.  For every workload in
+``BENCHMARK.json`` and every seed it runs one pair, alternating which side
+goes first, so that a drift in machine speed weighs on both sides alike.  After the untraced pairs it runs one
 ``--trace 1`` pair per workload on the first seed, for the per-layer counts.
 
 The output file holds both commits, the seeds and the run length; per
 workload and end-to-end metric, each side's median and quartiles and the
-number of pairs the working tree won (ties count for neither side); and every
+number of pairs HEAD won (ties count for neither side); and every
 run's raw result line.  The metrics, their direction and the run length come
 from ``BENCHMARK.json``.
 """
@@ -63,6 +64,7 @@ def extract(rev: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
         capture_output=True,
     ).stdout
+    dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
 
@@ -120,27 +122,27 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="e.g. 101-110; one pair per seed and workload")
     parser.add_argument("--out", required=True, help="path of the JSON file to write")
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="default: every workload in BENCHMARK.json")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    parent_commit = git("rev-parse", args.parent)
+    commits = {
+        "parent": git("rev-parse", args.parent),
+        "change": git("rev-parse", "HEAD"),
+    }
+    if commits["parent"] == commits["change"]:
+        parser.error("--parent names HEAD itself; commit the change first")
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        extract(parent_commit, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in commits}
+        for side, tree in trees.items():
+            extract(commits[side], tree)
         result = {
-            "parent": {"commit": parent_commit, "src_sha256": src_digest(parent_tree)},
-            "change": {
-                "commit": git("rev-parse", "HEAD"),
-                "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
-                "src_sha256": src_digest(ROOT),
+            **{
+                side: {"commit": commits[side], "src_sha256": src_digest(trees[side])}
+                for side in commits
             },
             "seeds": args.seeds,
             "run_seconds": seconds,
@@ -151,7 +153,7 @@ def main(argv=None) -> int:
             },
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for n, seed in enumerate(args.seeds):
                 order = ("parent", "change") if n % 2 == 0 else ("change", "parent")

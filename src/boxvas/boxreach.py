@@ -408,13 +408,16 @@ def synthesize_box_witness(
     Proof case 1 emits theta . rho . theta, where theta is the seed path to
     s_pos and rho reorders a multiset of generators summing to
     r = t - 2*s_pos.  That multiset is the evidence's generator counts minus
-    the two copies of theta whenever no count goes negative, so the witness
-    is exactly as long as the evidence (``rho_source`` "evidence").
-    Otherwise it falls back to a fresh ``int_cone_member`` solve for r
-    (``rho_source`` "integer-cone"), which raises ``ResourceBudgetError``
-    when that solve is UNDECIDED.  The result is re-verified before being
-    returned; a constructed path that fails the check raises
-    ``InternalCheckError`` on either route, with no second attempt.
+    the two copies of theta whenever no count goes negative and at most
+    ``DEFAULT_INT_CONE_BUDGET`` steps remain, so the witness is exactly as
+    long as the evidence (``rho_source`` "evidence").  Otherwise it falls
+    back to a fresh ``int_cone_member`` solve for r (``rho_source``
+    "integer-cone"), which raises ``ResourceBudgetError`` when that solve is
+    UNDECIDED; the cap keeps coefficients of cancelling generators, which a
+    fixed target does not bound, from setting the witness length.  The
+    result is re-verified before being returned; a constructed path that
+    fails the check raises ``InternalCheckError`` on either route, with no
+    second attempt.
     """
     if vas.dim != 2:
         raise UnsupportedDimensionError("witness synthesis requires dim 2")
@@ -479,11 +482,13 @@ def synthesize_box_witness(
     def case1() -> WitnessBundle:
         # any multiset summing to r serves as rho, since the reordering bound
         # depends only on the generators; the evidence minus two copies of
-        # theta is one whenever it stays nonnegative
+        # theta is one whenever it stays nonnegative.  Cancelling generators
+        # let coefficients grow without bound for a fixed target, so a rho
+        # longer than the integer-cone budget comes from the solve instead
         rest = counts[:]
         for i in theta:
             rest[i] -= 2
-        if min(rest) >= 0:
+        if min(rest) >= 0 and sum(rest) <= DEFAULT_INT_CONE_BUDGET:
             rho = reorder_counts(vas, rest)
             return _bundle(
                 vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "evidence"

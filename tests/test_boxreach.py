@@ -25,9 +25,9 @@ from boxvas import (
     serialize_instance,
     synthesize_box_witness,
     verify_window,
-    witness_length_lower_bound,
 )
 from boxvas import boxreach, core
+from boxvas.boxreach import witness_length_lower_bound
 from boxvas.cli import run_command
 from boxvas.geometry import (
     DEFAULT_INT_CONE_BUDGET,
@@ -406,7 +406,7 @@ def test_synthesize_case1_evidence_differential():
         assert bundle.path.box_reaches(t)
         theta = compute_seed(vas).pos_witness_indices()
         rest = [c - 2 * theta.count(i) for i, c in enumerate(counts)]
-        if min(rest) >= 0:
+        if min(rest) >= 0 and sum(rest) <= DEFAULT_INT_CONE_BUDGET:
             assert bundle.rho_source == "evidence"
             assert len(bundle.path) == sum(counts)
         else:
@@ -414,6 +414,21 @@ def test_synthesize_case1_evidence_differential():
         assert witness_length_lower_bound(vas, t) <= len(bundle.path)
         routes[bundle.rho_source] += 1
     assert min(routes.values()) >= 20, routes
+
+
+def test_synthesize_case1_cancelling_evidence_is_capped():
+    # u and -u cancel, so the coefficients say nothing about the length of
+    # a witness for (W, W); a rho of 2*10**9 steps takes the solve instead
+    vas = VasSystem(2, ((1, 0), (-1, 0), (1, 1)))
+    report = compute_threshold(vas)
+    assert report.case_tag is ThresholdCase.HALF_OR_FULL_PLANE
+    w = report.w
+    bundle = synthesize_box_witness(
+        vas, (w, w), coefficients=[10**9, 10**9, w]
+    )
+    assert bundle.rho_source == "integer-cone"
+    assert len(bundle.path) == witness_length_lower_bound(vas, (w, w)) == w
+    assert bundle.path.box_reaches((w, w))
 
 
 def test_each_witness_walked_once(ex1, tmp_path, monkeypatch, capsys):
