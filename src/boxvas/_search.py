@@ -16,9 +16,11 @@ deciders can be differentially tested against each other:
   integer bitmap; a generator step is a single shift-and-mask.  Much faster
   for sweeps, but yields decisions only.
 
-Both engines charge ``node_budget`` the same way: a grid (the padded table,
-for the BFS) of more cells than the budget raises ``ResourceBudgetError``
-before anything is allocated.
+Every table-based engine charges ``node_budget`` the same way, through
+``check_cells``: a table of more cells than the budget (the grid for the
+bitmap, the padded grid for the BFS, the configuration tables of ``vass1``)
+raises ``ResourceBudgetError`` before anything is allocated.  Both grid
+engines flatten their box with ``_strides``.
 """
 from __future__ import annotations
 
@@ -35,6 +37,15 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 def grid_cells(cap: Sequence[int]) -> int:
     return prod(c + 1 for c in cap)
+
+
+def check_cells(what: str, cells: int, node_budget: int) -> None:
+    """Refuse a table of ``cells`` cells that exceeds ``node_budget``; every
+    engine calls this before it allocates the table."""
+    if cells > node_budget:
+        raise ResourceBudgetError(
+            f"{what} of {cells} cells exceeds node budget {node_budget}", node_budget
+        )
 
 
 def _strides(cap: Sequence[int]) -> list[int]:
@@ -67,10 +78,7 @@ def reachable_bitmap(
     """
     cap = tuple(cap)
     n = grid_cells(cap)
-    if n > node_budget:
-        raise ResourceBudgetError(
-            f"grid of {n} cells exceeds node budget {node_budget}", node_budget
-        )
+    check_cells("grid", n, node_budget)
     strides = _strides(cap)
     moves: list[tuple[int, int]] = []
     for g in generators:
@@ -138,11 +146,7 @@ def bfs_grid(
     above = [max([0] + [g[k] for g in generators]) for k in range(len(cap))]
     padded = [b + c + a for b, c, a in zip(below, cap, above)]
     n = grid_cells(padded)
-    if n > node_budget:
-        raise ResourceBudgetError(
-            f"padded grid of {n} cells exceeds node budget {node_budget}",
-            node_budget,
-        )
+    check_cells("padded grid", n, node_budget)
     strides = _strides(padded)
     offsets = [sum(gk * sk for gk, sk in zip(g, strides)) for g in generators]
     # cell value: 0 unseen, i + 1 reached first by generator i, `border` for

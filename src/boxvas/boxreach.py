@@ -1,12 +1,15 @@
 """Box-reachability deciders, thresholds, and constructive witness synthesis.
 
-The two grid deciders are deliberately distinct implementations (plain BFS
-vs. bitmap fixpoint) so they can differentially test each other.  The
-threshold W is the bound above which reachability and box-reachability
-coincide for 2-dimensional systems; ``synthesize_box_witness`` rebuilds the
-corresponding constructive proof, emitting an actual box-reaching path.
-Every witness is walked once, where its ``PathRecord`` is built, and that
-record's fields are checked before the witness is returned.
+Box reachability of t is reachability capped at t, so there is one grid
+decider, ``decide_reach_capped``, and ``decide_box_reach`` is that decider
+at cap = t with a witness.  It runs on either of two deliberately distinct
+engines (plain BFS vs. bitmap fixpoint), which differentially test each
+other.  The threshold W is the bound above which reachability and
+box-reachability coincide for 2-dimensional systems;
+``synthesize_box_witness`` rebuilds the corresponding constructive proof,
+emitting an actual box-reaching path.  Every witness is walked once, where
+its ``PathRecord`` is built, and ``_bundle`` checks that record with
+``PathRecord.box_reaches`` before the witness is returned.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from .core import (
     effect,
     is_box_reaching_trace,
     is_valid_n_trace,
-    vec_le,
     vec_scale,
     vec_sub,
 )
@@ -111,11 +113,13 @@ def _bundle(
     target: Vector,
     method: WitnessMethod,
     rho_source: str | None = None,
+    cap: Vector | None = None,
 ) -> WitnessBundle:
     record = PathRecord.record(vas, indices)
-    if not record.box_reaches(target):
+    if not record.box_reaches(target, cap):
         raise InternalCheckError(
-            f"constructed witness does not box-reach {target}"
+            f"constructed witness does not reach {target} inside "
+            f"[0, {target if cap is None else cap}]"
         )
     return WitnessBundle(
         path=record, target=target, method=method, rho_source=rho_source
@@ -148,12 +152,9 @@ def decide_box_reach(
     target: Sequence[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[bool, WitnessBundle | None]:
-    """Exact decision by BFS over the grid [0, target]; witness on success."""
-    t = check_target(target, vas.dim)
-    path = bfs_grid(vas.generators, t, t, node_budget)
-    if path is None:
-        return False, None
-    return True, _bundle(vas, path, t, WitnessMethod.BFS_SEARCH)
+    """Exact decision by BFS over the grid [0, target]; witness on success.
+    Box reachability of t is reachability capped at t."""
+    return decide_reach_capped(vas, target, target, node_budget, want_witness=True)
 
 
 def decide_reach_capped(
@@ -176,10 +177,7 @@ def decide_reach_capped(
         path = bfs_grid(vas.generators, c, t, node_budget)
         if path is None:
             return False, None
-        record = PathRecord.record(vas, path)
-        if record.effect != t or any(record.drop) or not vec_le(record.peak, c):
-            raise InternalCheckError("capped witness failed re-verification")
-        return True, WitnessBundle(record, t, WitnessMethod.BFS_SEARCH)
+        return True, _bundle(vas, path, t, WitnessMethod.BFS_SEARCH, cap=c)
     bitmap = reachable_bitmap(vas.generators, c, node_budget)
     return bitmap_has(bitmap, c, t), None
 
@@ -294,19 +292,14 @@ def compute_threshold(
     }
     if contact in ({(1, 0)}, {(0, 1)}):
         return _axis_ray_threshold(vas, 0 if (1, 0) in contact else 1, m_used)
-    if cone.kind in (ConeKind.HALF_PLANE, ConeKind.FULL_PLANE):
+    plane = cone.kind in (ConeKind.HALF_PLANE, ConeKind.FULL_PLANE)
+    if plane or cone.quadrant_relation is QuadrantRelation.CONTAINS_QUADRANT:
         w = 16 * n**3 + m_used.value
         return ThresholdReport(
             w,
-            ThresholdCase.HALF_OR_FULL_PLANE,
-            m_used,
-            f"W = 16*norm^3 + M = 16*{n}^3 + {m_used.value} = {w}",
-        )
-    if cone.quadrant_relation is QuadrantRelation.CONTAINS_QUADRANT:
-        w = 16 * n**3 + m_used.value
-        return ThresholdReport(
-            w,
-            ThresholdCase.CONTAINS_QUADRANT,
+            ThresholdCase.HALF_OR_FULL_PLANE
+            if plane
+            else ThresholdCase.CONTAINS_QUADRANT,
             m_used,
             f"W = 16*norm^3 + M = 16*{n}^3 + {m_used.value} = {w}",
         )

@@ -50,15 +50,11 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(f"malformed vector {text!r}: expected comma-separated integers")
+        raise InvalidInputError(f"malformed vector {text!r}: expected comma-separated integers")
 
 
 def _parse_vector_list(text: str) -> list[tuple[int, ...]]:
@@ -70,19 +66,26 @@ def _load_instance(path: str) -> InstanceFile:
         with open(path, encoding="utf-8") as fh:
             return parse_instance(fh.read())
     except OSError as e:
-        raise _UsageError(f"cannot read instance file {path!r}: {e}")
+        raise InvalidInputError(f"cannot read instance file {path!r}: {e}")
 
 
-def _node_budget(text: str) -> int:
+def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _require_vas(inst: InstanceFile) -> VasSystem:
     if inst.kind != "vas" or inst.vas is None:
-        raise _UsageError("this command requires a 'vas' instance")
+        raise InvalidInputError("this command requires a 'vas' instance")
     return inst.vas
 
 
@@ -96,18 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def common(p, instance=True, budget=False):
+        # only the commands whose engines read --node-budget take it
         if instance:
             p.add_argument("--instance", required=True, help="instance file path")
-        p.add_argument("--node-budget", type=_node_budget, default=DEFAULT_NODE_BUDGET)
+        if budget:
+            p.add_argument("--node-budget", type=_nonnegative, default=DEFAULT_NODE_BUDGET)
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is single-threaded")
 
     p = sub.add_parser("decide-box", help="exact box-reachability decision")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--target", required=True)
 
     p = sub.add_parser("decide-reach", help="reachability within a cap box")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--target", required=True)
     p.add_argument("--cap", required=True)
     p.add_argument("--witness", action="store_true")
@@ -115,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="the threshold W and its case")
     common(p)
     p.add_argument("--m", type=int, default=None, help="explicit deep constant")
-    p.add_argument("--validate-radius", type=int, default=None)
+    p.add_argument("--validate-radius", type=_nonnegative, default=None)
 
     p = sub.add_parser("seed", help="the strictly positive seed vector")
     common(p)
@@ -132,25 +137,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
 
     p = sub.add_parser("lift", help="dimension-doubling reduction")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--target", default=None)
 
     p = sub.add_parser("verify-window", help="sweep a window of targets")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--lo", required=True)
     p.add_argument("--size", required=True)
-    p.add_argument("--margin", type=int, default=None)
+    p.add_argument("--margin", type=_nonnegative, default=None)
 
     p = sub.add_parser("vass1-decide", help="1-VASS box-reachability")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--from", dest="from_state", default=None)
     p.add_argument("--to", dest="to_state", required=True)
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_nonnegative, required=True)
 
     p = sub.add_parser("vass1-semilinear", help="semilinear box-reachability set")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--to", dest="to_state", required=True)
-    p.add_argument("--b-lps", dest="b_lps", type=int, default=None)
+    p.add_argument("--b-lps", dest="b_lps", type=_positive, default=None)
 
     return parser
 
@@ -275,7 +280,7 @@ def _dispatch(args) -> dict:
     if cmd == "vass1-decide":
         inst = _load_instance(args.instance)
         if inst.kind != "vass1" or inst.vass1 is None:
-            raise _UsageError("this command requires a 'vass1' instance")
+            raise InvalidInputError("this command requires a 'vass1' instance")
         q0 = args.from_state if args.from_state is not None else inst.init_state
         decision, witness = vass1_box_decide(
             inst.vass1, q0, args.to_state, args.x, args.node_budget
@@ -288,7 +293,7 @@ def _dispatch(args) -> dict:
     if cmd == "vass1-semilinear":
         inst = _load_instance(args.instance)
         if inst.kind != "vass1" or inst.vass1 is None:
-            raise _UsageError("this command requires a 'vass1' instance")
+            raise InvalidInputError("this command requires a 'vass1' instance")
         semi, bounds = build_semilinear(
             inst.vass1,
             inst.init_state,
@@ -314,7 +319,7 @@ def _dispatch(args) -> dict:
             },
         }
 
-    raise _UsageError(f"unknown command {cmd!r}")
+    raise InvalidInputError(f"unknown command {cmd!r}")
 
 
 def _summary(result: dict) -> str:
@@ -372,9 +377,6 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         result = _dispatch(args)
         code = EXIT_OK
-    except _UsageError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
     except (InstanceParseError, InvalidInputError, MalformedPathError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE

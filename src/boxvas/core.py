@@ -169,13 +169,14 @@ class PathRecord:
         eff, dr, pk = walk(vas, idx)
         return cls(indices=idx, effect=eff, drop=dr, peak=pk)
 
-    def box_reaches(self, target: Vector) -> bool:
-        """True iff the path runs from 0 to ``target`` inside [0, target]:
-        effect ``target``, drop 0 and peak at most ``target``."""
+    def box_reaches(self, target: Vector, cap: Vector | None = None) -> bool:
+        """True iff the path runs from 0 to ``target`` inside [0, cap]:
+        effect ``target``, drop 0 and peak at most ``cap``, which defaults
+        to ``target`` (box reachability is reachability capped at t)."""
         return (
             self.effect == tuple(target)
             and not any(self.drop)
-            and vec_le(self.peak, target)
+            and vec_le(self.peak, target if cap is None else cap)
         )
 
     def __len__(self) -> int:

@@ -485,46 +485,29 @@ def _solve_two_coin(m: int, p: int, n: int) -> tuple[int, int]:
 def _positive_zero_combo(nonzero: list[tuple[int, Vector]]) -> list[int]:
     """For full-plane generator sets: counts z_i >= 1 with sum z_i g_i = 0.
 
-    For each generator g, -g lies in a consecutive-direction sector of
-    opening under 180 degrees; clearing denominators gives an all-integer
-    cancelling relation.  Summing one relation per generator makes every
-    count strictly positive.
+    For each generator g, -g lies in the sector between two angularly
+    consecutive representative generators u, w (one per direction) of
+    opening under 180 degrees, and Cramer's rule gives the all-integer
+    cancelling relation cross(u, w) g + cross(-g, w) u + cross(u, -g) w = 0.
+    Summing one relation per generator makes every count strictly positive.
     """
-    dirs: dict[Vector, int] = {}
-    for pos, (idx, g) in enumerate(nonzero):
-        d = _primitive(g)
-        dirs.setdefault(d, pos)
-    order = sorted(dirs, key=cmp_to_key(_angle_cmp))
+    reps: dict[Vector, int] = {}
+    for pos, (_, g) in enumerate(nonzero):
+        reps.setdefault(_primitive(g), pos)
+    by_angle = cmp_to_key(_angle_cmp)
+    order = sorted(reps.values(), key=lambda pos: by_angle(nonzero[pos][1]))
     z = [0] * len(nonzero)
-    for pos, (idx, g) in enumerate(nonzero):
+    for pos, (_, g) in enumerate(nonzero):
         t = (-g[0], -g[1])
-        placed = False
-        for j in range(len(order)):
-            u = order[j]
-            w = order[(j + 1) % len(order)]
-            delta = cross(u, w)
-            if delta <= 0:
-                continue
-            a = cross(t, w)
-            b = cross(u, t)
-            if a >= 0 and b >= 0:
-                # delta * g + a * u_gen + b * w_gen = 0 after rescaling to
-                # the representative generators along u and w
-                pu, ugen = dirs[u], nonzero[dirs[u]][1]
-                pw, wgen = dirs[w], nonzero[dirs[w]][1]
-                su = inf_norm(ugen) // inf_norm(u)  # ugen = su * u
-                sw = inf_norm(wgen) // inf_norm(w)
-                lcm_u = su
-                lcm_w = sw
-                # scale the whole relation so u/w coefficients are integer
-                # counts of the representative generators
-                scale = lcm_u * lcm_w
-                z[pos] += delta * scale
-                z[pu] += a * lcm_w
-                z[pw] += b * lcm_u
-                placed = True
+        for pu, pw in zip(order, order[1:] + order[:1]):
+            u, w = nonzero[pu][1], nonzero[pw][1]
+            delta, a, b = cross(u, w), cross(t, w), cross(u, t)
+            if delta > 0 and a >= 0 and b >= 0:
+                z[pos] += delta
+                z[pu] += a
+                z[pw] += b
                 break
-        if not placed:
+        else:
             raise InternalCheckError(
                 f"no cancelling sector found for generator {g}"
             )
@@ -857,46 +840,29 @@ def compute_seed(vas: VasSystem) -> SeedVector:
         if g[0] > 0 and g[1] > 0:
             return package(g, [i])
 
-    # no strictly positive generator: look for an axis generator to pump
-    x_axis = next(
-        (i for i, g in enumerate(gens) if g[0] > 0 and g[1] == 0), None
-    )
-    y_axis = next(
-        (i for i, g in enumerate(gens) if g[1] > 0 and g[0] == 0), None
-    )
-    if x_axis is None and y_axis is None:
-        raise DegenerateSystemError(
-            "no generator with nonnegative coordinates is available as a first "
-            "step, so only the origin is reachable"
+    # no strictly positive generator: pump an axis generator, x axis first
+    for axis, name in ((0, "x"), (1, "y")):
+        i1 = next(
+            (i for i, g in enumerate(gens) if g[axis] > 0 and g[1 - axis] == 0),
+            None,
         )
-    if x_axis is not None:
-        i1 = x_axis
-        x = gens[i1][0]
-        i2 = next((i for i, g in enumerate(gens) if g[1] > 0), None)
+        if i1 is None:
+            continue
+        i2 = next((i for i, g in enumerate(gens) if g[1 - axis] > 0), None)
         if i2 is None:
             raise DegenerateSystemError(
-                "reachability is confined to the x axis; use the "
+                f"reachability is confined to the {name} axis; use the "
                 "one-dimensional analysis instead"
             )
-        xp, yp = gens[i2]
-        # with no strictly positive generator, xp <= 0 here
-        s = ((-2 * xp + 1) * x + xp, yp)
-        indices = [i1] * (-xp) + [i2] + [i1] * (-xp + 1)
-        return package(s, indices)
-    i1 = y_axis
-    if i1 is None:
-        raise InternalCheckError("no axis generator to pump")
-    y = gens[i1][1]
-    i2 = next((i for i, g in enumerate(gens) if g[0] > 0), None)
-    if i2 is None:
-        raise DegenerateSystemError(
-            "reachability is confined to the y axis; use the one-dimensional "
-            "analysis instead"
-        )
-    xp, yp = gens[i2]
-    s = (xp, (-2 * yp + 1) * y + yp)
-    indices = [i1] * (-yp) + [i2] + [i1] * (-yp + 1)
-    return package(s, indices)
+        # with no strictly positive generator, along <= 0 here
+        along, up = gens[i2][axis], gens[i2][1 - axis]
+        pumped = (-2 * along + 1) * gens[i1][axis] + along
+        s = (pumped, up) if axis == 0 else (up, pumped)
+        return package(s, [i1] * (-along) + [i2] + [i1] * (-along + 1))
+    raise DegenerateSystemError(
+        "no generator with nonnegative coordinates is available as a first "
+        "step, so only the origin is reachable"
+    )
 
 
 def facet_product_bound_check(cone: ConeData, v: Sequence[int]) -> bool:

@@ -10,8 +10,10 @@ state, and every search reads that grouping.  The configurations [0, C] x Q
 form one flat table, cell v * |Q| + (state index):
 ``vass1_min_ceilings`` fills it with the least ceiling under which each
 configuration is reachable, and ``vass1_box_decide`` is a BFS over the same
-layout.  ``Vass1System.walk`` is the one path check: a single pass giving
-the end states, effect, drop and peak of a path.
+layout.  The BFS table and the explicit sweep of ``build_semilinear`` are
+refused by ``_search.check_cells``, the one node-budget refusal, before they
+are allocated.  ``Vass1System.walk`` is the one path check: a single pass
+giving the end states, effect, drop and peak of a path.
 
 The semilinear builder follows the path-scheme characterization: every
 box-reachable value beyond an explicit bound p3 is the effect of a pumped
@@ -32,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ._search import DEFAULT_NODE_BUDGET, _mark_code
+from ._search import DEFAULT_NODE_BUDGET, _mark_code, check_cells
 from .errors import (
     InternalCheckError,
     InvalidInputError,
@@ -206,11 +208,7 @@ def vass1_box_decide(
         return True, []
     nq = len(sys.states)
     n = (x_target + 1) * nq
-    if n > node_budget:
-        raise ResourceBudgetError(
-            f"configuration table of {n} cells exceeds node budget {node_budget}",
-            node_budget,
-        )
+    check_cells("configuration table", n, node_budget)
     offsets = _offsets(sys)
     moves = [[(offsets[i], i + 1) for i, _, _ in out] for out in sys.out]
     code, border = _mark_code(len(sys.transitions))
@@ -323,10 +321,8 @@ def _pareto2(profiles: dict) -> list:
     return out
 
 
-def _exhausted(limit: int) -> ResourceBudgetError:
-    err = ResourceBudgetError(
-        f"scheme enumeration exceeded the budget {limit}", limit
-    )
+def _partial(err: ResourceBudgetError) -> ResourceBudgetError:
+    """``err`` carrying an empty ``partial_result`` marked partial."""
     err.partial_result = SemilinearSet(
         explicit=frozenset(), components=(), partial=True
     )
@@ -341,7 +337,10 @@ class _Budget:
     def spend(self) -> None:
         self.used += 1
         if self.used > self.limit:
-            raise _exhausted(self.limit)
+            err = ResourceBudgetError(
+                f"scheme enumeration exceeded the budget {self.limit}", self.limit
+            )
+            raise _partial(err)
 
 
 def _enumerate_paths(
@@ -399,9 +398,9 @@ def build_semilinear(
     (scheme profile, closing-suffix effect) pair.
 
     Parts are deduplicated by profile; each emitted component is verified by
-    walking its smallest induced path.  Exhausting the combinatorial budget
-    raises a resource error whose ``partial_result`` is an empty set marked
-    partial.
+    walking its smallest induced path.  Exhausting the combinatorial budget,
+    or an explicit sweep table over ``node_budget`` cells, raises a resource
+    error whose ``partial_result`` is an empty set marked partial.
     """
     sys.check_state(q0)
     sys.check_state(q_target)
@@ -413,13 +412,17 @@ def build_semilinear(
     norm = sys.norm
     nq = len(sys.states)
 
-    # alpha: nonnegative-prefix paths from q0 (so of drop 0), deduped by
-    # (end state, effect, peak)
-    alphas: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in range(nq)]
+    # alpha: nonnegative-prefix paths from q0 (so of drop 0); per end state
+    # and effect only the least peak matters, so keep the first path with it
+    alpha_front: list[dict[int, tuple[int, tuple[int, ...]]]] = [
+        {} for _ in range(nq)
+    ]
     for path, end, eff, _, peak in _enumerate_paths(
         sys, sys.index[q0], b_lps, budget, nonneg=True
     ):
-        alphas[end].setdefault((eff, peak), path)
+        cur = alpha_front[end].get(eff)
+        if cur is None or peak < cur[0]:
+            alpha_front[end][eff] = (peak, path)
 
     # beta: powers of simple cycles with positive effect, deduped by
     # (anchor state, effect, drop, peak)
@@ -448,15 +451,17 @@ def build_semilinear(
 
     maxover = 0
     for s in range(nq):
-        if not alphas[s] or not betas[s]:
+        if not alpha_front[s] or not betas[s]:
             continue
         for eff_b, _, peak_b in betas[s]:
             for _, eff_g, _, peak_g in gammas[s]:
                 maxover = max(maxover, _overshoot(eff_b, peak_b, eff_g, peak_g))
     bounds = Vass1Bounds.compute(sys, b_lps, maxover)
 
-    if (bounds.p3 + 1) * nq > node_budget:
-        raise _exhausted(node_budget)
+    try:
+        check_cells("explicit sweep table", (bounds.p3 + 1) * nq, node_budget)
+    except ResourceBudgetError as err:
+        raise _partial(err)
     explicit = _box_values(
         vass1_min_ceilings(sys, q0, bounds.p3), nq, sys.index[q_target]
     )
@@ -473,14 +478,6 @@ def build_semilinear(
     # profile dominated in (drop, peak) at the same effect only yields
     # components covered by the dominating one, and per (period,
     # residue) only the minimal base matters.
-    alpha_front: list[dict[int, tuple[int, tuple[int, ...]]]] = []
-    for profs in alphas:
-        front: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for (eff_a, peak_a), rep in profs.items():
-            cur = front.get(eff_a)
-            if cur is None or peak_a < cur[0]:
-                front[eff_a] = (peak_a, rep)
-        alpha_front.append(front)
     beta_front = [_pareto2(profs) for profs in betas]
     gamma_front: list[dict[tuple[int, int], list]] = []
     for profs in gammas:

@@ -311,6 +311,22 @@ def test_synthesize_case1(ex1):
     assert is_box_reaching_trace(ex1, bundle.path.indices, (w, w))
 
 
+def test_synthesize_contained_in_quadrant():
+    # every generator is nonnegative, so W = 0 and any order of the
+    # evidence multiset box-reaches the target
+    gens = ((1, 0), (0, 1), (2, 3))
+    target = (5, 6)
+    bundle = synthesize_box_witness(VasSystem(2, gens), target, coefficients=[1, 0, 2])
+    assert bundle.method is WitnessMethod.PROOF_CASE_1
+    assert bundle.rho_source == "evidence"
+    assert sorted(bundle.path.indices) == [0, 2, 2]
+    point = (0, 0)
+    for i in bundle.path.indices:
+        point = (point[0] + gens[i][0], point[1] + gens[i][1])
+        assert 0 <= point[0] <= target[0] and 0 <= point[1] <= target[1]
+    assert point == target
+
+
 def _refuse_int_cone(vas, v):
     raise AssertionError("the integer-cone fallback ran")
 

@@ -288,13 +288,40 @@ def test_cli_exit_codes(ex1_file, vass1_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_negative_node_budget_is_a_usage_error(ex1_file, capsys):
+def test_cli_negative_node_budget_is_a_usage_error(ex1_file, vass1_file, capsys):
     decide = ["decide-box", "--instance", ex1_file, "--target", "21,21"]
     code, env, err = run_json(capsys, decide + ["--node-budget", "-1"])
     assert (code, env) == (2, None)
     assert "nonnegative" in err
     # a zero budget is well formed, and the grid exceeds it
     assert run_json(capsys, decide + ["--node-budget", "0"])[0] == 4
+    # the other out-of-range numeric flags are usage errors as well
+    window = ["verify-window", "--instance", ex1_file, "--lo", "0,0", "--size", "1,1"]
+    for argv, word in (
+        (window + ["--margin", "-1"], "nonnegative"),
+        (["threshold", "--instance", ex1_file, "--validate-radius", "-3"], "nonnegative"),
+        (["vass1-decide", "--instance", vass1_file, "--to", "q", "--x", "-1"], "nonnegative"),
+        (["vass1-semilinear", "--instance", vass1_file, "--to", "q", "--b-lps", "0"], "positive"),
+    ):
+        code, env, err = run_json(capsys, argv)
+        assert (code, env) == (2, None), argv
+        assert word in err, argv
+
+
+def test_cli_node_budget_only_where_an_engine_reads_it(ex1_file, capsys):
+    for cmd in ("threshold", "seed"):
+        argv = [cmd, "--instance", ex1_file]
+        assert run_json(capsys, argv + ["--node-budget", "5"])[0] == 2
+        code, env, _ = run_json(capsys, argv)
+        assert code == 0
+        assert env["budget"] == {"node_budget": None}
+    witness = ["witness", "--instance", ex1_file, "--target", "702464,702464",
+               "--evidence", "coeffs", "--values", "4,4,70246"]
+    assert run_json(capsys, witness + ["--node-budget", "1"])[0] == 2
+    steinitz = ["steinitz", "--vectors", "1,1;-1,0"]
+    assert run_json(capsys, steinitz + ["--node-budget", "5"])[0] == 2
+    code, env, _ = run_json(capsys, ["lift", "--instance", ex1_file, "--node-budget", "5"])
+    assert (code, env["budget"]) == (0, {"node_budget": 5})
 
 
 def test_cli_witness_reports_length_lower_bound(ex1_file, capsys):

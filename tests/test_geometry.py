@@ -24,7 +24,7 @@ from boxvas import (
     lattice_member,
 )
 from boxvas.core import dot
-from boxvas.geometry import _solve_two_coin
+from boxvas.geometry import DEFAULT_INT_CONE_BUDGET, _solve_two_coin
 
 
 def test_cone_example1(ex1):
@@ -106,6 +106,37 @@ def test_int_cone_differential():
             for c, g in zip(res.coefficients, gens):
                 acc = (acc[0] + c * g[0], acc[1] + c * g[1])
             assert acc == v
+
+
+# Rare branches of the integer-cone solvers, each checked against brute force.
+FALLBACK_CONE = ((1, 0), (1, 1001), (1, 1), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "gens, v",
+    [
+        # a line with steps of both signs
+        (((2, 0), (-3, 0)), (1, 0)),
+        # a half-plane whose boundary line has steps of both signs
+        (((1, 0), (-1, 0), (0, 1)), (3, 2)),
+        # a proper cone whose |det|^2 candidates exceed the budget, so the
+        # facet-window BFS decides; (2, 5) drains it
+        (FALLBACK_CONE, (5, 7)),
+        (FALLBACK_CONE, (3, 2)),
+        (FALLBACK_CONE, (2, 5)),
+    ],
+)
+def test_int_cone_rare_branches(gens, v):
+    if gens == FALLBACK_CONE:
+        assert 1001**2 > DEFAULT_INT_CONE_BUDGET
+    res = int_cone_member(VasSystem(2, gens), v)
+    assert res.status is not Membership.UNDECIDED
+    assert res.is_member == _brute_int_cone(gens, v)
+    if res.is_member:
+        assert all(c >= 0 for c in res.coefficients)
+        assert tuple(
+            sum(c * g[k] for c, g in zip(res.coefficients, gens)) for k in range(2)
+        ) == v
 
 
 def test_int_cone_implies_lattice_and_facets(ex1):

@@ -301,6 +301,10 @@ def test_build_semilinear_budget():
     with pytest.raises(ResourceBudgetError) as exc:
         build_semilinear(sys, "0", "8", node_budget=50)
     assert exc.value.partial_result.partial
+    # the enumeration fits in 825 units, the explicit sweep table does not
+    with pytest.raises(ResourceBudgetError, match="explicit sweep") as exc:
+        build_semilinear(sys, "0", "8", b_lps=6, node_budget=825)
+    assert exc.value.partial_result.partial
 
 
 @settings(max_examples=25, deadline=None)
