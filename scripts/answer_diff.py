@@ -11,6 +11,11 @@ compares the exit code and the envelope's ``result`` (the timing and the
 echoed budget are not answers).  It lists every operation whose exit code or
 result differs and exits 1 if there is one, 0 otherwise.  Like
 ``bench_pairs.py``, it compares commits: uncommitted edits are not run.
+
+A fourth group, ``sweep``, runs what no workload does, the same fixed
+operations whatever ``--seeds`` says (``sweep_ops``): ``threshold`` and
+``witness`` at W on one-dimensional systems, and ``vass1-decide`` on small
+random 1-VASS.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -40,6 +46,63 @@ def build_ops(perfbench: Path, workloads: list[str], seeds: list[int], work: Pat
             for op in workload.batch + [workload.headline]:
                 ops.append({"workload": name, "seed": seed, "label": op.label,
                             "argv": op.argv})
+    return ops
+
+
+def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
+    """The fixed operations of the ``sweep`` group.
+
+    ``threshold`` takes dimension 2, so a random 1-D step set runs as steps
+    along the x axis, next to collinear 2-D systems along other directions,
+    mixed-sign lines, and systems (a, 0), (-b, 0), (-1, -1) that meet the
+    quadrant along one axis ray.  On each nondegenerate one, ``witness``
+    asks for the least target on the ray at or above W = 2 * norm^3, with
+    the evidence a multiple of one positive step.  ``vass1-decide`` runs on
+    random 1-VASS with x <= 60.
+    """
+    sys.path.insert(0, str(perfbench))
+    import workloads as wl
+
+    rng = random.Random(9)
+    files = wl.Files(str(work))
+    ops = []
+
+    def add(label, argv):
+        ops.append({"workload": "sweep", "seed": None, "label": label, "argv": argv})
+
+    def one_dim(label, gens, axis_steps, norm, direction):
+        path = files.vas(gens)
+        add(f"{label} threshold", ["threshold", "--instance", path])
+        pos = next((i for i, a in enumerate(axis_steps) if a > 0), None)
+        if pos is None or min(direction) < 0:
+            return
+        w = 2 * norm**3
+        k = axis_steps[pos] * -(-w // (axis_steps[pos] * max(direction)))
+        coeffs = [0] * len(gens)
+        coeffs[pos] = k // axis_steps[pos]
+        target = ",".join(str(k * x) for x in direction)
+        add(f"{label} witness", ["witness", "--instance", path, "--target", target,
+                                 "--evidence", "coeffs",
+                                 "--values", ",".join(map(str, coeffs))])
+
+    for direction in [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1)]:
+        for _ in range(8):
+            steps = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 3))]
+            gens = [tuple(a * x for x in direction) for a in steps]
+            norm = 2 * sum(abs(a) * max(map(abs, direction)) for a in steps)
+            one_dim(f"line {direction} {steps}", gens, steps, norm, direction)
+    for a in range(1, 6):
+        for b in range(1, 6):
+            gens = [(a, 0), (-b, 0), (-1, -1)]
+            one_dim(f"axis ({a},0),(-{b},0)", gens, [a, -b, 0], a + b, (1, 0))
+    for n in range(60):
+        states = [f"s{i}" for i in range(rng.randint(1, 3))]
+        trans = [(rng.choice(states), rng.randint(-4, 4), rng.choice(states))
+                 for _ in range(rng.randint(1, 5))]
+        x = rng.randint(0, 60)
+        path = files.vass1(states, states[0], trans)
+        add(f"vass1 #{n} x={x}", ["vass1-decide", "--instance", path,
+                                  "--to", rng.choice(states), "--x", str(x)])
     return ops
 
 
@@ -81,6 +144,10 @@ def main(argv=None) -> int:
         work.mkdir()
         names = [w["name"] for w in bench["workloads"]]
         ops = build_ops(trees["head"] / "perfbench", names, args.seeds, work)
+        sweep_dir = work / "sweep"
+        sweep_dir.mkdir()
+        ops += sweep_ops(trees["head"] / "perfbench", sweep_dir)
+        names.append("sweep")
         ops_path = tmp_path / "ops.json"
         ops_path.write_text(json.dumps(ops), encoding="utf-8")
         procs = {
@@ -107,7 +174,8 @@ def main(argv=None) -> int:
         print(f"{name}: {len(mine)} operations, {len(diff)} differ")
         for i in diff:
             op = ops[i]
-            print(f"  seed {op['seed']} {op['label']}: {' '.join(op['argv'])}")
+            seed = "" if op["seed"] is None else f"seed {op['seed']} "
+            print(f"  {seed}{op['label']}: {' '.join(op['argv'])}")
             for side in commits:
                 print(f"    {side}: {short(answers[side][i])}")
     print(f"{differing} differing operations "

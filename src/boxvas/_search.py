@@ -6,10 +6,10 @@ deciders can be differentially tested against each other:
 * ``bfs_grid``: a breadth-first search that yields a witness path.  The box
   is embedded in a table padded by the most negative generator entry below
   and the largest positive one above in each coordinate, and flattened with
-  ``_strides``, so a generator step is one integer offset and needs no bounds
-  test.  Each cell holds one byte: 0 unseen, i + 1 when generator i reached
-  it first, a sentinel for the start cell and for the padding.  The witness
-  is rebuilt by subtracting offsets from the target back to the start.
+  ``_strides``, so a generator step is one integer offset.  It runs
+  ``flat_bfs``, the one BFS kernel, which ``vass1_box_decide`` also runs on
+  its (counter, state) table: cells outside the box hold a sentinel, so a
+  step needs no bounds test, and the witness is rebuilt from the marks.
   Frontier order is deterministic (FIFO, generators expanded in index
   order), so witnesses are reproducible.
 * ``reachable_bitmap``: a fixpoint over the whole grid encoded as one big
@@ -18,18 +18,18 @@ deciders can be differentially tested against each other:
 
 Every table-based engine charges ``node_budget`` the same way, through
 ``check_cells``: a table of more cells than the budget (the grid for the
-bitmap, the padded grid for the BFS, the configuration tables of ``vass1``)
-raises ``ResourceBudgetError`` before anything is allocated.  Both grid
-engines flatten their box with ``_strides``.
+bitmap, the padded grid for the BFS, the unpadded configuration tables of
+``vass1``) raises ``ResourceBudgetError`` before anything is allocated.
+Both grid engines flatten their box with ``_strides``.
 """
 from __future__ import annotations
 
 from array import array
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import Vector
+from .core import Vector, dot
 from .errors import ResourceBudgetError
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -93,8 +93,7 @@ def reachable_bitmap(
             if (lo, hi) != (0, ci):
                 mask &= _coord_range_mask(n, si, ci + 1, lo, hi)
         if ok:
-            offset = sum(gi * si for gi, si in zip(g, strides))
-            moves.append((offset, mask))
+            moves.append((dot(g, strides), mask))
     reached = 1  # origin
     while True:
         new = reached
@@ -108,8 +107,7 @@ def reachable_bitmap(
 
 def bitmap_has(bitmap: int, cap: Sequence[int], point: Sequence[int]) -> bool:
     strides = _strides(tuple(cap))
-    idx = sum(x * s for x, s in zip(point, strides))
-    return bool((bitmap >> idx) & 1)
+    return bool((bitmap >> dot(point, strides)) & 1)
 
 
 def _mark_code(moves: int) -> tuple[str, int]:
@@ -120,6 +118,59 @@ def _mark_code(moves: int) -> tuple[str, int]:
         if moves < border:
             break
     return code, border
+
+
+def flat_bfs(
+    cells: int,
+    open_starts: Iterable[int],
+    width: int,
+    offsets: Sequence[int],
+    classes: Sequence[Sequence[int]],
+    start: int,
+    goal: int,
+) -> list[int] | None:
+    """BFS over a flat table of ``cells`` cells: the move indices of a
+    shortest path from ``start`` to ``goal``, or None.
+
+    Only the runs of ``width`` cells from each of ``open_starts`` are open;
+    the rest hold a sentinel, and the caller pads the table so that no move
+    from an open cell leaves it.  Move i adds ``offsets[i]``, and cell p
+    takes the moves of class ``classes[p % len(classes)]``, in order.  A
+    cell holds 0 unseen, i + 1 when move i reached it first, or the sentinel
+    (the start too).  The goal must be an open cell other than the start;
+    once a level marks it, the path is rebuilt backwards from its mark.
+    """
+    code, border = _mark_code(len(offsets))
+    via = array(code, [border]) * cells
+    blank = array(code, [0]) * width
+    for lo in open_starts:
+        via[lo : lo + width] = blank
+    via[start] = border
+    moves = [[(offsets[i], i + 1) for i in cls] for cls in classes]
+    nc = len(moves)
+    # level by level: each level lists its cells in discovery order, which is
+    # the order a FIFO queue would pop them
+    frontier = [start]
+    while frontier:
+        level: list[int] = []
+        push = level.append
+        for p in frontier:
+            for off, mark in moves[p % nc]:
+                q = p + off
+                if not via[q]:
+                    via[q] = mark
+                    push(q)
+        if via[goal]:
+            path: list[int] = []
+            q = goal
+            while q != start:
+                i = via[q] - 1
+                path.append(i)
+                q -= offsets[i]
+            path.reverse()
+            return path
+        frontier = level
+    return None
 
 
 def bfs_grid(
@@ -148,39 +199,12 @@ def bfs_grid(
     n = grid_cells(padded)
     check_cells("padded grid", n, node_budget)
     strides = _strides(padded)
-    offsets = [sum(gk * sk for gk, sk in zip(g, strides)) for g in generators]
-    # cell value: 0 unseen, i + 1 reached first by generator i, `border` for
-    # the start cell and every cell outside [0, cap]
-    code, border = _mark_code(len(generators))
-    via = array(code, [border]) * n
-    width = cap[-1] + 1
-    blank = array(code, [0]) * width
-    for row in product(*(range(b, b + c + 1) for b, c in zip(below[:-1], cap[:-1]))):
-        lo = sum(x * s for x, s in zip(row, strides)) + below[-1]
-        via[lo : lo + width] = blank
-    start = sum(b * s for b, s in zip(below, strides))
-    goal = start + sum(x * s for x, s in zip(target, strides))
-    via[start] = border
-    moves = [(off, i + 1) for i, off in enumerate(offsets)]
-    # level by level: each level lists its cells in discovery order, which is
-    # the order a FIFO queue would pop them
-    frontier = [start]
-    while frontier:
-        level: list[int] = []
-        push = level.append
-        for p in frontier:
-            for off, mark in moves:
-                q = p + off
-                if not via[q]:
-                    via[q] = mark
-                    if q == goal:
-                        path: list[int] = []
-                        while q != start:
-                            i = via[q] - 1
-                            path.append(i)
-                            q -= offsets[i]
-                        path.reverse()
-                        return path
-                    push(q)
-        frontier = level
-    return None
+    offsets = [dot(g, strides) for g in generators]
+    # the first open cell of each row along the last coordinate
+    rows = product(*(range(b, b + c + 1) for b, c in zip(below[:-1], cap[:-1])))
+    starts = (dot(row, strides) + below[-1] for row in rows)
+    start = dot(below, strides)
+    goal = start + dot(target, strides)
+    return flat_bfs(
+        n, starts, cap[-1] + 1, offsets, [range(len(generators))], start, goal
+    )

@@ -5,7 +5,8 @@ decider, ``decide_reach_capped``, and ``decide_box_reach`` is that decider
 at cap = t with a witness.  It runs on either of two deliberately distinct
 engines (plain BFS vs. bitmap fixpoint), which differentially test each
 other.  The threshold W is the bound above which reachability and
-box-reachability coincide for 2-dimensional systems;
+box-reachability coincide for 2-dimensional systems; for one counter it is
+M1 = 2*norm^3, proven without a table in ``one_vas_threshold``.
 ``synthesize_box_witness`` rebuilds the corresponding constructive proof,
 emitting an actual box-reaching path.  Every witness is walked once, where
 its ``PathRecord`` is built, and ``_bundle`` checks that record with
@@ -23,6 +24,7 @@ from .core import (
     VasSystem,
     Vector,
     check_target,
+    combination,
     dot,
     # the next three are not called here; perfbench/tracing.py patches them
     effect,
@@ -36,7 +38,6 @@ from .errors import (
     InternalCheckError,
     PreconditionError,
     ResourceBudgetError,
-    UnsupportedDimensionError,
 )
 from .geometry import (
     DEFAULT_INT_CONE_BUDGET,
@@ -46,6 +47,7 @@ from .geometry import (
     Membership,
     QuadrantRelation,
     _primitive,
+    _require_dim2,
     compute_seed,
     cone_from_generators,
     default_deep_constant,
@@ -53,7 +55,6 @@ from .geometry import (
     is_m_deep,
 )
 from .steinitz import reorder_counts
-from .vass1 import Vass1System, vass1_min_ceilings
 
 
 class ThresholdCase(Enum):
@@ -182,20 +183,9 @@ def decide_reach_capped(
     return bitmap_has(bitmap, c, t), None
 
 
-def one_dim_min_peaks(steps: Sequence[int], ceiling: int) -> list[int | None]:
-    """For each value v in [0, ceiling]: the smallest peak bound under which
-    v is reachable from 0 (prefixes confined to [0, peak]), or None.
-
-    The steps form a one-state 1-VASS with one self-loop per step, so this is
-    ``vass1_min_ceilings`` read off at that state.
-    """
-    loops = Vass1System(("q",), tuple(("q", a, "q") for a in steps))
-    return [None if c < 0 else c for c in vass1_min_ceilings(loops, "q", ceiling)]
-
-
 def _one_dim_steps(vas: VasSystem) -> list[int] | None:
-    """Project a 1-dimensional (or collinear nonnegative-direction 2-D)
-    system to scalar steps; None when the projection does not apply."""
+    """Project a 1-dimensional (or collinear 2-D) system to scalar steps;
+    None when the generators span two directions."""
     if vas.dim == 1:
         return [g[0] for g in vas.generators]
     if vas.dim != 2:
@@ -211,18 +201,22 @@ def _one_dim_steps(vas: VasSystem) -> list[int] | None:
         if p != d and p != (-d[0], -d[1]):
             return None
     if d[0] < 0 or d[1] < 0:
-        return None  # mixed-sign direction: nothing but 0 is reachable
+        return []  # mixed-sign direction: no step fires, only 0 is reachable
     coord = 0 if d[0] != 0 else 1
     return [g[coord] for g in vas.generators]
 
 
 def one_vas_threshold(vas: VasSystem) -> OneVasThreshold:
-    """The bound above which reachability equals box-reachability for a
-    one-dimensional system.
+    """The bound M1 = 2*norm^3 above which reachability equals
+    box-reachability for a one-dimensional system.
 
-    Takes the maximum of 2*norm^3 (above which reachability reduces to a
-    small-residue representative) and the minimal peaks of all reachable
-    representatives up to norm^3.
+    Above 2*norm^3 reachability reduces to a small-residue representative
+    k <= norm^3, so M1 is the larger of 2*norm^3 and the least peak of
+    every reachable k <= norm^3.  That peak never exceeds 2*norm^3: take
+    the steps of any path to k and apply a negative step whenever one fits,
+    a positive one otherwise.  Every prefix then stays inside
+    [0, max(k, N + P - 1)], where N and P are the largest negative and
+    positive step sizes, and N + P <= norm.
     """
     steps = _one_dim_steps(vas)
     if steps is None:
@@ -232,25 +226,14 @@ def one_vas_threshold(vas: VasSystem) -> OneVasThreshold:
     positive = [a for a in steps if a > 0]
     if not positive:
         return OneVasThreshold(m1=0, min_step=0, degenerate=True)
-    d_min = min(positive)
-    norm = vas.norm
-    rep_bound = norm**3
-    ceiling = 2 * norm**3 + 2 * norm
-    peaks = one_dim_min_peaks([a for a in steps if a != 0], ceiling)
-    best = 2 * norm**3
-    for k in range(min(rep_bound, ceiling) + 1):
-        p = peaks[k]
-        if p is not None and p > best:
-            best = p
-    return OneVasThreshold(m1=best, min_step=d_min, degenerate=False)
+    return OneVasThreshold(m1=2 * vas.norm**3, min_step=min(positive), degenerate=False)
 
 
 def compute_threshold(
     vas: VasSystem, m: DeepConstant | None = None
 ) -> ThresholdReport:
     """The threshold W for a 2-VAS, dispatching on the cone/quadrant shape."""
-    if vas.dim != 2:
-        raise UnsupportedDimensionError("threshold computation requires dim 2")
+    _require_dim2(vas)
     m_used = m if m is not None else default_deep_constant(vas)
     n = vas.norm
     cone = cone_from_generators(vas)
@@ -412,8 +395,7 @@ def synthesize_box_witness(
     fails the check raises ``InternalCheckError`` on either route, with no
     second attempt.
     """
-    if vas.dim != 2:
-        raise UnsupportedDimensionError("witness synthesis requires dim 2")
+    _require_dim2(vas)
     t = check_target(target, 2)
     if (coefficients is None) == (path is None):
         raise PreconditionError(
@@ -427,9 +409,7 @@ def synthesize_box_witness(
             raise PreconditionError(
                 "coefficients must be one nonnegative integer per generator"
             )
-        acc = (0, 0)
-        for c, g in zip(counts, vas.generators):
-            acc = (acc[0] + c * g[0], acc[1] + c * g[1])
+        acc = combination(vas.generators, counts)
         if acc != t:
             raise PreconditionError(
                 f"coefficients sum to {acc}, not the target {t}"
@@ -556,8 +536,7 @@ def verify_window(
     above W falsifies the threshold guarantee or this implementation.  Targets
     whose grids exceed the node budget are listed as skipped.
     """
-    if vas.dim != 2:
-        raise UnsupportedDimensionError("verify_window requires dim 2")
+    _require_dim2(vas)
     lo = check_target(window_lo, 2)
     size = check_target(window_size, 2)
     margin = cap_margin if cap_margin is not None else 2 * vas.norm

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-One JSON object on stdout, a one-line human summary on stderr.  Exit codes:
-0 success (the boolean decision lives in the JSON, not the exit code),
-2 parse/usage error, 3 precondition error, 4 resource-budget exhaustion,
-1 internal verification failure, raised where a witness is built and checked.
+One JSON object on stdout, a one-line human summary on stderr.  Exit codes
+follow the error hierarchy of ``errors``: 0 success (the boolean decision
+lives in the JSON, not the exit code), 2 ``InvalidInputError`` (parse and
+usage errors), 3 ``PreconditionError``, 4 ``ResourceBudgetError``, and 1
+for ``InternalCheckError`` (a failed re-verification, raised where a witness
+is built and checked) or any other toolkit error.
 """
 from __future__ import annotations
 
@@ -27,21 +29,16 @@ from .boxreach import (
 # is_box_reaching_trace is not called here; perfbench/tracing.py patches it
 from .core import VasSystem, is_box_reaching_trace
 from .errors import (
-    DegenerateSystemError,
-    EvidenceError,
-    InstanceParseError,
-    InternalCheckError,
+    BoxVasError,
     InvalidInputError,
-    MalformedPathError,
     PreconditionError,
     ResourceBudgetError,
-    UnsupportedDimensionError,
 )
 from .geometry import DeepConstant, compute_seed, ditc_falsification_scan
 from .instances import InstanceFile, parse_instance, serialize_instance
 from .lift import lift_vas
 from .steinitz import steinitz_reorder
-from .vass1 import build_semilinear, vass1_box_decide
+from .vass1 import Vass1System, build_semilinear, vass1_box_decide
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -87,6 +84,12 @@ def _require_vas(inst: InstanceFile) -> VasSystem:
     if inst.kind != "vas" or inst.vas is None:
         raise InvalidInputError("this command requires a 'vas' instance")
     return inst.vas
+
+
+def _require_vass1(inst: InstanceFile) -> Vass1System:
+    if inst.kind != "vass1" or inst.vass1 is None:
+        raise InvalidInputError("this command requires a 'vass1' instance")
+    return inst.vass1
 
 
 @functools.lru_cache(maxsize=1)
@@ -279,11 +282,9 @@ def _dispatch(args) -> dict:
 
     if cmd == "vass1-decide":
         inst = _load_instance(args.instance)
-        if inst.kind != "vass1" or inst.vass1 is None:
-            raise InvalidInputError("this command requires a 'vass1' instance")
         q0 = args.from_state if args.from_state is not None else inst.init_state
         decision, witness = vass1_box_decide(
-            inst.vass1, q0, args.to_state, args.x, args.node_budget
+            _require_vass1(inst), q0, args.to_state, args.x, args.node_budget
         )
         result = {"decision": decision}
         if witness is not None:
@@ -292,10 +293,8 @@ def _dispatch(args) -> dict:
 
     if cmd == "vass1-semilinear":
         inst = _load_instance(args.instance)
-        if inst.kind != "vass1" or inst.vass1 is None:
-            raise InvalidInputError("this command requires a 'vass1' instance")
         semi, bounds = build_semilinear(
-            inst.vass1,
+            _require_vass1(inst),
             inst.init_state,
             args.to_state,
             b_lps=args.b_lps,
@@ -377,21 +376,16 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         result = _dispatch(args)
         code = EXIT_OK
-    except (InstanceParseError, InvalidInputError, MalformedPathError) as e:
+    except InvalidInputError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    except (
-        PreconditionError,
-        EvidenceError,
-        DegenerateSystemError,
-        UnsupportedDimensionError,
-    ) as e:
+    except PreconditionError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PRECONDITION
     except ResourceBudgetError as e:
         print(str(e), file=sys.stderr)
         return EXIT_RESOURCE
-    except InternalCheckError as e:
+    except BoxVasError as e:  # InternalCheckError, or no family at all
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     envelope = {

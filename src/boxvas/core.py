@@ -48,6 +48,12 @@ def dot(a: Vector, b: Vector) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def combination(gens: Sequence[Vector], counts: Sequence[int]) -> Vector:
+    """The sum of counts[i] * gens[i]: the effect of any path that takes
+    generator i counts[i] times."""
+    return tuple(sum(c * x for c, x in zip(counts, col)) for col in zip(*gens))
+
+
 @dataclass(frozen=True)
 class VasSystem:
     """A d-dimensional vector addition system: an ordered tuple of generators.

@@ -1,20 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules; the CLI exit code follows it."""
 
 
 class BoxVasError(Exception):
     """Base class for all toolkit errors."""
-
-
-class MalformedPathError(BoxVasError):
-    """A path references a generator or transition index that does not exist."""
-
-
-class UnsupportedDimensionError(BoxVasError):
-    """An operation restricted to dimension 2 was called on another dimension."""
-
-
-class DegenerateSystemError(BoxVasError):
-    """The system violates a nondegeneracy assumption; the message names it."""
 
 
 class InvalidInputError(BoxVasError, ValueError):
@@ -22,8 +10,30 @@ class InvalidInputError(BoxVasError, ValueError):
     entry, a duplicate or unknown state name."""
 
 
+class MalformedPathError(InvalidInputError):
+    """A path references a generator or transition index that does not exist."""
+
+
+class InstanceParseError(InvalidInputError):
+    """An instance file failed to parse; carries the offending line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
 class PreconditionError(BoxVasError):
     """A documented precondition of an operation was violated."""
+
+
+class UnsupportedDimensionError(PreconditionError):
+    """An operation restricted to dimension 2 was called on another dimension."""
+
+
+class DegenerateSystemError(PreconditionError):
+    """The system violates a nondegeneracy assumption; the message names it."""
 
 
 class EvidenceError(PreconditionError):
@@ -40,13 +50,3 @@ class ResourceBudgetError(BoxVasError):
 
 class InternalCheckError(BoxVasError):
     """A constructed object failed its own re-verification; indicates a bug."""
-
-
-class InstanceParseError(BoxVasError):
-    """An instance file failed to parse; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line

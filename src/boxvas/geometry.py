@@ -20,6 +20,7 @@ from .core import (
     PathRecord,
     VasSystem,
     Vector,
+    combination,
     dot,
     inf_norm,
     is_box_reaching_trace,  # not called here; perfbench/tracing.py patches it
@@ -511,11 +512,7 @@ def _positive_zero_combo(nonzero: list[tuple[int, Vector]]) -> list[int]:
             raise InternalCheckError(
                 f"no cancelling sector found for generator {g}"
             )
-    total = (
-        sum(z[i] * g[0] for i, (_, g) in enumerate(nonzero)),
-        sum(z[i] * g[1] for i, (_, g) in enumerate(nonzero)),
-    )
-    if total != (0, 0) or any(c < 1 for c in z):
+    if combination([g for _, g in nonzero], z) != (0, 0) or any(c < 1 for c in z):
         raise InternalCheckError("zero-effect combination failed to verify")
     return z
 
@@ -526,11 +523,7 @@ def _finish(
     coeffs = [0] * len(vas.generators)
     for idx, c in counts_by_index.items():
         coeffs[idx] = c
-    acc = (0, 0)
-    for idx, c in enumerate(coeffs):
-        g = vas.generators[idx]
-        acc = (acc[0] + c * g[0], acc[1] + c * g[1])
-    if acc != v or any(c < 0 for c in coeffs):
+    if combination(vas.generators, coeffs) != v or any(c < 0 for c in coeffs):
         raise InternalCheckError(
             f"integer-cone coefficients failed to reproduce {v}"
         )
@@ -682,10 +675,7 @@ def _int_cone_half_plane(
         raise InternalCheckError("remaining height is not whole blocks")
     counts[j0] += (height - least) // period * k0
 
-    used = (0, 0)
-    for c, (_, g) in zip(counts, interior):
-        used = (used[0] + c * g[0], used[1] + c * g[1])
-    residual = vec_sub(v, used)
+    residual = vec_sub(v, combination([g for _, g in interior], counts))
     m_res = _line_multiple(b, residual)
     if m_res is None:
         raise InternalCheckError("half-plane residual left the boundary line")
@@ -693,10 +683,7 @@ def _int_cone_half_plane(
     if rep is None:
         raise InternalCheckError("half-plane residual escaped the boundary group")
     all_counts: dict[int, int] = {}
-    for c, (i, _) in zip(counts, interior):
-        if c:
-            all_counts[i] = all_counts.get(i, 0) + c
-    for c, (i, _) in zip(rep, boundary):
+    for c, (i, _) in zip(counts + rep, interior + boundary):
         if c:
             all_counts[i] = all_counts.get(i, 0) + c
     return _finish(vas, v, all_counts)

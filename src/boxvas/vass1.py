@@ -9,10 +9,11 @@ start state means reaching it from counter 0 with the counter confined to
 state, and every search reads that grouping.  The configurations [0, C] x Q
 form one flat table, cell v * |Q| + (state index):
 ``vass1_min_ceilings`` fills it with the least ceiling under which each
-configuration is reachable, and ``vass1_box_decide`` is a BFS over the same
-layout.  The BFS table and the explicit sweep of ``build_semilinear`` are
-refused by ``_search.check_cells``, the one node-budget refusal, before they
-are allocated.  ``Vass1System.walk`` is the one path check: a single pass
+configuration is reachable, and ``vass1_box_decide`` runs the one BFS
+kernel, ``_search.flat_bfs``, on the same layout between sentinel rows
+below 0 and above x.  The BFS table and the explicit sweep of
+``build_semilinear`` are refused by ``_search.check_cells``, the one
+node-budget refusal, before they are allocated.  ``Vass1System.walk`` is the one path check: a single pass
 giving the end states, effect, drop and peak of a path.
 
 The semilinear builder follows the path-scheme characterization: every
@@ -34,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ._search import DEFAULT_NODE_BUDGET, _mark_code, check_cells
+from ._search import DEFAULT_NODE_BUDGET, check_cells, flat_bfs
 from .errors import (
     InternalCheckError,
     InvalidInputError,
@@ -195,11 +196,12 @@ def vass1_box_decide(
     """BFS over configurations [0, x_target] x Q; witness is a transition-index
     path.  Deterministic: FIFO frontier, transitions tried in index order.
 
-    A cell of the flat table holds 0 unseen, i + 1 when transition i reached
-    it first, or a sentinel for the start; the witness is rebuilt by
-    stepping back from the goal.  Raises ``ResourceBudgetError`` before
-    allocating when the table's (x_target + 1) * |Q| cells exceed
-    ``node_budget``."""
+    Each state is one move class.  A transition of weight over x_target
+    never fires inside the box, so it is left out, and the table is padded
+    by min(norm, x_target) sentinel rows on each side.  Raises
+    ``ResourceBudgetError`` before allocating when the box's
+    (x_target + 1) * |Q| cells exceed ``node_budget``; the padding is not
+    counted."""
     sys.check_state(q0)
     sys.check_state(q_target)
     if x_target < 0:
@@ -207,39 +209,22 @@ def vass1_box_decide(
     if x_target == 0 and q0 == q_target:
         return True, []
     nq = len(sys.states)
-    n = (x_target + 1) * nq
-    check_cells("configuration table", n, node_budget)
-    offsets = _offsets(sys)
-    moves = [[(offsets[i], i + 1) for i, _, _ in out] for out in sys.out]
-    code, border = _mark_code(len(sys.transitions))
-    via = array(code, [0]) * n
-    start = sys.index[q0]
-    goal = x_target * nq + sys.index[q_target]
-    via[start] = border
-    # level by level: each level lists its cells in discovery order, which is
-    # the order a FIFO queue would pop them; 0 <= q < n is the box test
-    frontier = [start]
-    while frontier:
-        level: list[int] = []
-        push = level.append
-        for p in frontier:
-            for off, mark in moves[p % nq]:
-                q = p + off
-                if 0 <= q < n and not via[q]:
-                    via[q] = mark
-                    if q == goal:
-                        path: list[int] = []
-                        while q != start:
-                            i = via[q] - 1
-                            path.append(i)
-                            q -= offsets[i]
-                        path.reverse()
-                        if not _is_box_run(sys, q0, q_target, path, x_target):
-                            raise InternalCheckError("BFS witness failed simulation")
-                        return True, path
-                    push(q)
-        frontier = level
-    return False, None
+    check_cells("configuration table", (x_target + 1) * nq, node_budget)
+    pad = min(sys.norm, x_target) * nq
+    path = flat_bfs(
+        (x_target + 1) * nq + 2 * pad,
+        [pad],
+        (x_target + 1) * nq,
+        _offsets(sys),
+        [[i for i, w, _ in out if abs(w) <= x_target] for out in sys.out],
+        pad + sys.index[q0],
+        pad + x_target * nq + sys.index[q_target],
+    )
+    if path is None:
+        return False, None
+    if not _is_box_run(sys, q0, q_target, path, x_target):
+        raise InternalCheckError("BFS witness failed simulation")
+    return True, path
 
 
 def vass1_min_ceilings(sys: Vass1System, q0: str, ceiling: int) -> array:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,20 +11,22 @@ from boxvas import (
     EvidenceError,
     InstanceFile,
     InternalCheckError,
+    OneVasThreshold,
     PreconditionError,
     ResourceBudgetError,
     ThresholdCase,
     VasSystem,
+    Vass1System,
     WitnessMethod,
     compute_threshold,
     decide_box_reach,
     decide_reach_capped,
     is_box_reaching_trace,
-    one_dim_min_peaks,
     one_vas_threshold,
     reorder_counts,
     serialize_instance,
     synthesize_box_witness,
+    vass1_min_ceilings,
     verify_window,
 )
 from boxvas import boxreach, core
@@ -116,8 +119,16 @@ def test_threshold_degenerate():
     assert report.case_tag is ThresholdCase.DEGENERATE
 
 
+def _min_peaks(steps, ceiling):
+    """Per value in [0, ceiling]: the least peak under which it is reachable
+    by the steps, or None; the least-ceiling table of a one-state 1-VASS
+    with one self-loop per step."""
+    loops = Vass1System(("q",), tuple(("q", a, "q") for a in steps))
+    return [None if c < 0 else c for c in vass1_min_ceilings(loops, "q", ceiling)]
+
+
 def test_min_peaks_examples():
-    peaks = one_dim_min_peaks([5, -2], 12)
+    peaks = _min_peaks([5, -2], 12)
     assert peaks[0] == 0
     assert peaks[5] == 5
     assert peaks[3] == 5  # 5 then -2
@@ -126,7 +137,7 @@ def test_min_peaks_examples():
     assert peaks[2] == 6  # 5, 3, 1, 6, 4, 2
     assert peaks[4] == 6
     with pytest.raises(PreconditionError):
-        one_dim_min_peaks([1], -1)
+        _min_peaks([1], -1)
 
 
 def _brute_min_peaks(steps, ceiling):
@@ -153,7 +164,7 @@ def test_min_peaks_differential():
     for _ in range(300):
         steps = [rng.randint(-7, 7) for _ in range(rng.randint(1, 3))]
         ceiling = rng.randint(0, 40)
-        assert one_dim_min_peaks(steps, ceiling) == _brute_min_peaks(
+        assert _min_peaks(steps, ceiling) == _brute_min_peaks(
             steps, ceiling
         ), (steps, ceiling)
 
@@ -167,6 +178,40 @@ def test_one_vas_threshold_examples():
     assert t.m1 == 686 and t.min_step == 5
     t = one_vas_threshold(VasSystem(1, ((-2,),)))
     assert t.degenerate and t.m1 == 0
+    # one line, but its direction has mixed signs: only 0 is reachable
+    t = one_vas_threshold(VasSystem(2, ((1, -1), (-2, 2))))
+    assert t == OneVasThreshold(m1=0, min_step=0, degenerate=True)
+
+
+def test_one_vas_threshold_is_the_greedy_bound():
+    # the table one_vas_threshold once built, kept as the proof's reference:
+    # every least peak within it is at most max(k, N + P - 1), so no k up
+    # to norm^3 lifts M1 above 2*norm^3
+    rng = random.Random(31)
+    for _ in range(300):
+        steps = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+        if max(steps) <= 0:
+            steps.append(rng.randint(1, 5))
+        vas = VasSystem(1, tuple((a,) for a in steps))
+        norm = vas.norm
+        assert one_vas_threshold(vas).m1 == 2 * norm**3, steps
+        bound = max(0, -min(steps)) + max(steps) - 1
+        peaks = _min_peaks([a for a in steps if a], 2 * norm**3 + 2 * norm)
+        for k, peak in enumerate(peaks):
+            if peak is not None:
+                assert peak <= max(k, bound), (steps, k, peak)
+
+
+def test_one_vas_threshold_builds_no_table():
+    vas = VasSystem(1, ((17,), (-13,)))
+    tracemalloc.start()
+    try:
+        t = one_vas_threshold(vas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.m1 == 2 * 30**3
+    assert peak < 64 << 10, peak
 
 
 def test_one_vas_threshold_collinear_2d():
@@ -181,7 +226,7 @@ def test_one_vas_threshold_semantics():
     # staying nonnegative) coincides with peak-bounded reachability
     vas = VasSystem(1, ((5,), (-2,)))
     t = one_vas_threshold(vas)
-    peaks = one_dim_min_peaks([5, -2], t.m1 + 60)
+    peaks = _min_peaks([5, -2], t.m1 + 60)
     for k in range(t.m1, t.m1 + 50):
         if peaks[k] is not None:
             assert peaks[k] <= k

@@ -10,7 +10,7 @@ from boxvas import (
     parse_instance,
     serialize_instance,
 )
-from boxvas import cli
+from boxvas import cli, errors
 from boxvas.cli import run_command
 
 from conftest import EX1_GENS, random_vas
@@ -286,6 +286,35 @@ def test_cli_exit_codes(ex1_file, vass1_file, tmp_path, capsys):
     # unknown flag -> usage
     assert run_command(["decide-box", "--bogus"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.InvalidInputError, 2),
+        (errors.MalformedPathError, 2),
+        (errors.InstanceParseError, 2),
+        (errors.PreconditionError, 3),
+        (errors.UnsupportedDimensionError, 3),
+        (errors.DegenerateSystemError, 3),
+        (errors.EvidenceError, 3),
+        (errors.ResourceBudgetError, 4),
+        (errors.InternalCheckError, 1),
+        (errors.BoxVasError, 1),
+    ],
+)
+def test_cli_exit_code_follows_the_error_hierarchy(
+    ex1_file, monkeypatch, capsys, error, code
+):
+    def broken(*args, **kwargs):
+        raise error("engine fault")
+
+    monkeypatch.setattr(cli, "compute_threshold", broken)
+    assert run_command(["threshold", "--instance", ex1_file]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = "internal error: " if code == 1 else ""
+    assert err == f"{prefix}engine fault\n"
 
 
 def test_cli_negative_node_budget_is_a_usage_error(ex1_file, vass1_file, capsys):

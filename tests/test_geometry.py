@@ -110,6 +110,9 @@ def test_int_cone_differential():
 
 # Rare branches of the integer-cone solvers, each checked against brute force.
 FALLBACK_CONE = ((1, 0), (1, 1001), (1, 1), (1, 2))
+# a half-plane y >= 0 whose boundary steps are +-3: its members at height 0
+# are exactly the (k, 0) with 3 dividing k
+BOUNDARY_HALF_PLANE = ((3, 0), (-3, 0), (1, 1), (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -124,6 +127,8 @@ FALLBACK_CONE = ((1, 0), (1, 1001), (1, 1), (1, 2))
         (FALLBACK_CONE, (5, 7)),
         (FALLBACK_CONE, (3, 2)),
         (FALLBACK_CONE, (2, 5)),
+        # a half-plane target on its boundary line
+        *[(BOUNDARY_HALF_PLANE, (k, 0)) for k in range(-6, 7)],
     ],
 )
 def test_int_cone_rare_branches(gens, v):
@@ -132,6 +137,8 @@ def test_int_cone_rare_branches(gens, v):
     res = int_cone_member(VasSystem(2, gens), v)
     assert res.status is not Membership.UNDECIDED
     assert res.is_member == _brute_int_cone(gens, v)
+    if gens == BOUNDARY_HALF_PLANE:
+        assert res.is_member == (v[0] % 3 == 0)
     if res.is_member:
         assert all(c >= 0 for c in res.coefficients)
         assert tuple(

@@ -13,7 +13,6 @@ from boxvas import (
     Vass1System,
     build_semilinear,
     default_b_lps,
-    one_dim_min_peaks,
     semilinear_member,
     vass1_box_decide,
     vass1_min_ceilings,
@@ -177,19 +176,15 @@ def test_flat_tables_match_dict_references():
 
 
 def test_one_dim_tables_stay_small():
-    # steps 17, -13 at the ceiling one_vas_threshold uses for them
+    # steps 17, -13 at the ceiling one_vas_threshold once used for them
     loops = Vass1System(("q",), (("q", 17, "q"), ("q", -13, "q")))
-    for build, limit in (
-        (lambda: vass1_min_ceilings(loops, "q", 54_060), 1 << 20),
-        (lambda: one_dim_min_peaks([17, -13], 54_060), 3 << 20),
-    ):
-        tracemalloc.start()
-        try:
-            build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < limit, peak
+    tracemalloc.start()
+    try:
+        vass1_min_ceilings(loops, "q", 54_060)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_overshoot_matches_direct_simulation():
