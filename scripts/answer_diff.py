@@ -14,8 +14,9 @@ result differs and exits 1 if there is one, 0 otherwise.  Like
 
 A fourth group, ``sweep``, runs what no workload does, the same fixed
 operations whatever ``--seeds`` says (``sweep_ops``): ``threshold`` and
-``witness`` at W on one-dimensional systems, and ``vass1-decide`` on small
-random 1-VASS.
+``witness`` at W on one-dimensional systems, ``vass1-decide`` on small
+random 1-VASS, and the deciders and ``verify-window`` on systems whose
+lattice has index > 1, with targets on and off the lattice.
 """
 from __future__ import annotations
 
@@ -52,13 +53,21 @@ def build_ops(perfbench: Path, workloads: list[str], seeds: list[int], work: Pat
 def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     """The fixed operations of the ``sweep`` group.
 
-    ``threshold`` takes dimension 2, so a random 1-D step set runs as steps
-    along the x axis, next to collinear 2-D systems along other directions,
-    mixed-sign lines, and systems (a, 0), (-b, 0), (-1, -1) that meet the
-    quadrant along one axis ray.  On each nondegenerate one, ``witness``
+    A random 1-D step set runs ``threshold`` as steps along the x axis, the
+    form every revision accepts, next to collinear 2-D systems along other
+    directions, mixed-sign lines, and systems (a, 0), (-b, 0), (-1, -1)
+    that meet the quadrant along one axis ray.  On each nondegenerate one, ``witness``
     asks for the least target on the ray at or above W = 2 * norm^3, with
     the evidence a multiple of one positive step.  ``vass1-decide`` runs on
     random 1-VASS with x <= 60.
+
+    The deciders run on random 1-, 2- and 3-D systems with one coordinate of
+    every generator scaled by 2 or 3, so their lattice has index > 1.  Each
+    gets targets that sum a few generators (on the lattice), targets whose
+    scaled coordinate is not a multiple of the factor (off it), and one of
+    each kind with no other constraint; ``decide-box`` asks for each, and
+    ``decide-reach`` with and without ``--witness`` under a cap up to 3
+    above it.  ``verify-window`` sweeps a 4 x 4 window on the 2-D ones.
     """
     sys.path.insert(0, str(perfbench))
     import workloads as wl
@@ -103,6 +112,41 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
         path = files.vass1(states, states[0], trans)
         add(f"vass1 #{n} x={x}", ["vass1-decide", "--instance", path,
                                   "--to", rng.choice(states), "--x", str(x)])
+    for dim, side in ((1, 40), (2, 12), (3, 5)):
+        for n in range(8):
+            k, factor = rng.randrange(dim), rng.choice([2, 3])
+            gens = [tuple(rng.randint(-3, 3) * (factor if i == k else 1)
+                          for i in range(dim))
+                    for _ in range(rng.randint(1, 4))]
+            path = files.vas(gens)
+            label = f"index {dim}-D #{n} {gens}"
+            targets = []
+            for _ in range(20):
+                t = [0] * dim
+                for _ in range(rng.randint(1, 6)):
+                    t = [a + b for a, b in zip(t, rng.choice(gens))]
+                if min(t) >= 0 and max(t) <= side and any(t) and t not in targets:
+                    targets.append(t)
+                    if len(targets) == 2:
+                        break
+            for congruent in (True, False):
+                t = [rng.randint(0, side) for _ in range(dim)]
+                t[k] -= t[k] % factor
+                if not congruent:
+                    t[k] += rng.randint(1, factor - 1)
+                targets.append(t)
+            for t in targets:
+                cap = [a + rng.randint(0, 3) for a in t]
+                decide = ["--instance", path, "--target", wl.vec(t)]
+                add(f"{label} decide-box {t}", ["decide-box"] + decide)
+                reach = ["decide-reach"] + decide + ["--cap", wl.vec(cap)]
+                add(f"{label} decide-reach {t} cap {cap}", reach)
+                add(f"{label} decide-reach --witness {t} cap {cap}", reach + ["--witness"])
+            if dim == 2:
+                lo = [rng.randint(0, 8) for _ in range(2)]
+                add(f"{label} verify-window {lo}",
+                    ["verify-window", "--instance", path, "--lo", wl.vec(lo),
+                     "--size", "3,3", "--margin", str(rng.randint(0, 6))])
     return ops
 
 

@@ -173,6 +173,17 @@ def flat_bfs(
     return None
 
 
+def bfs_padding(
+    generators: Sequence[Vector], cap: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """(below, padded) for ``bfs_grid``'s table over [0, cap]: the margin
+    below the box in each coordinate (the most negative generator entry)
+    and the padded extents, which add the largest positive entry above."""
+    below = [max([0] + [-g[k] for g in generators]) for k in range(len(cap))]
+    above = [max([0] + [g[k] for g in generators]) for k in range(len(cap))]
+    return below, [b + c + a for b, c, a in zip(below, cap, above)]
+
+
 def bfs_grid(
     generators: Sequence[Vector],
     cap: Sequence[int],
@@ -193,9 +204,7 @@ def bfs_grid(
         return None
     if not any(target):
         return []
-    below = [max([0] + [-g[k] for g in generators]) for k in range(len(cap))]
-    above = [max([0] + [g[k] for g in generators]) for k in range(len(cap))]
-    padded = [b + c + a for b, c, a in zip(below, cap, above)]
+    below, padded = bfs_padding(generators, cap)
     n = grid_cells(padded)
     check_cells("padded grid", n, node_budget)
     strides = _strides(padded)

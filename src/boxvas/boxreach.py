@@ -2,11 +2,13 @@
 
 Box reachability of t is reachability capped at t, so there is one grid
 decider, ``decide_reach_capped``, and ``decide_box_reach`` is that decider
-at cap = t with a witness.  It runs on either of two deliberately distinct
-engines (plain BFS vs. bitmap fixpoint), which differentially test each
-other.  The threshold W is the bound above which reachability and
-box-reachability coincide for 2-dimensional systems; for one counter it is
-M1 = 2*norm^3, proven without a table in ``one_vas_threshold``.
+at cap = t with a witness.  It refutes a target outside the generators'
+integer lattice before any search, and otherwise runs on either of two
+deliberately distinct engines (plain BFS vs. bitmap fixpoint), which
+differentially test each other.  The threshold W is the bound above which
+reachability and box-reachability coincide for 2-dimensional systems; for
+one counter it is M1 = 2*norm^3, proven without a table in
+``one_vas_threshold``.
 ``synthesize_box_witness`` rebuilds the corresponding constructive proof,
 emitting an actual box-reaching path.  Every witness is walked once, where
 its ``PathRecord`` is built, and ``_bundle`` checks that record with
@@ -18,7 +20,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from ._search import DEFAULT_NODE_BUDGET, bfs_grid, bitmap_has, reachable_bitmap
+from ._search import (
+    DEFAULT_NODE_BUDGET,
+    bfs_grid,
+    bfs_padding,
+    bitmap_has,
+    check_cells,
+    grid_cells,
+    reachable_bitmap,
+)
 from .core import (
     PathRecord,
     VasSystem,
@@ -46,6 +56,7 @@ from .geometry import (
     DeepConstant,
     Membership,
     QuadrantRelation,
+    _LatticeSolver,
     _primitive,
     _require_dim2,
     compute_seed,
@@ -168,12 +179,23 @@ def decide_reach_capped(
     """Reachability of ``target`` with every intermediate point within ``cap``.
 
     The default engine is the bitmap fixpoint (decision only); requesting a
-    witness switches to the BFS engine.
+    witness switches to the BFS engine.  Every path to t sums generators, so
+    a nonzero t outside their integer lattice is answered (False, None)
+    without a search.  That test runs after the selected engine's cell
+    check, so a table over ``node_budget`` is refused whatever the target.
     """
     t = check_target(target, vas.dim)
     c = check_target(cap, vas.dim)
     if not all(x <= y for x, y in zip(t, c)):
         raise PreconditionError(f"target {t} exceeds cap {c}")
+    if any(t):
+        if want_witness:
+            padded = bfs_padding(vas.generators, c)[1]
+            check_cells("padded grid", grid_cells(padded), node_budget)
+        else:
+            check_cells("grid", grid_cells(c), node_budget)
+        if _LatticeSolver(vas.generators).solve(t) is None:
+            return False, None
     if want_witness:
         path = bfs_grid(vas.generators, c, t, node_budget)
         if path is None:
@@ -232,11 +254,12 @@ def one_vas_threshold(vas: VasSystem) -> OneVasThreshold:
 def compute_threshold(
     vas: VasSystem, m: DeepConstant | None = None
 ) -> ThresholdReport:
-    """The threshold W for a 2-VAS, dispatching on the cone/quadrant shape."""
-    _require_dim2(vas)
+    """The threshold W for a 2-VAS, dispatching on the cone/quadrant shape,
+    or for one counter, where it is M1."""
+    if vas.dim != 1:
+        _require_dim2(vas)
     m_used = m if m is not None else default_deep_constant(vas)
     n = vas.norm
-    cone = cone_from_generators(vas)
 
     if not any(any(g) and min(g) >= 0 for g in vas.generators):
         # no first step stays in the quadrant, so only 0 is reachable
@@ -247,6 +270,9 @@ def compute_threshold(
             "no nonzero nonnegative generator; reach = {0}, W vacuous",
             degenerate=True,
         )
+    if vas.dim == 1:
+        return _m1_report(vas, m_used)
+    cone = cone_from_generators(vas)
     if cone.quadrant_relation is QuadrantRelation.CONTAINED_IN_QUADRANT:
         return ThresholdReport(
             0,
@@ -256,13 +282,7 @@ def compute_threshold(
         )
     if cone.kind in (ConeKind.RAY, ConeKind.LINE):
         # the nonzero nonnegative generator gives the projection a positive step
-        one = one_vas_threshold(vas)
-        return ThresholdReport(
-            one.m1,
-            ThresholdCase.ONE_DIMENSIONAL,
-            m_used,
-            f"one-dimensional; W = M1 = {one.m1}",
-        )
+        return _m1_report(vas, m_used)
     # Cone and quadrant meet in the cone spanned by the extremals inside the
     # quadrant and the unit axes inside the cone.  The nonzero nonnegative
     # generator lies in that meet, so it is never {0}.
@@ -301,6 +321,17 @@ def compute_threshold(
     raise InternalCheckError(
         f"unclassified cone shape {cone.kind.value} meeting the quadrant "
         f"along {sorted(contact)}"
+    )
+
+
+def _m1_report(vas: VasSystem, m_used: DeepConstant) -> ThresholdReport:
+    """W = M1 for a one-counter or collinear system with a positive step."""
+    one = one_vas_threshold(vas)
+    return ThresholdReport(
+        one.m1,
+        ThresholdCase.ONE_DIMENSIONAL,
+        m_used,
+        f"one-dimensional; W = M1 = {one.m1}",
     )
 
 

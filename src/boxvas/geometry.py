@@ -1,4 +1,9 @@
-"""2D cone machinery: classification, facets, lattice and integer-cone membership.
+"""Cone machinery for 2-D systems, and lattice membership in any dimension.
+
+``_LatticeSolver`` decides membership in the generators' integer lattice
+for every dimension; the deciders of ``boxreach`` use it to refute
+off-lattice targets before any grid search.  Cone classification, facets
+and integer-cone membership are 2-dimensional.
 
 Everything here is exact integer / rational arithmetic.  The cone of a
 2-dimensional system is classified by sorting generator directions by angle
@@ -251,16 +256,18 @@ def cone_from_generators(vas: VasSystem) -> ConeData:
 
 class _LatticeSolver:
     """Integer row echelon of the generator matrix with a transform, so that
-    lattice membership plus reproducing coefficients is one back-substitution."""
+    lattice membership plus reproducing coefficients is one back-substitution.
+    Works in any dimension; the pivot columns run over every coordinate."""
 
     def __init__(self, generators: Sequence[Vector]):
         self.generators = [tuple(g) for g in generators]
         n = len(self.generators)
+        dim = len(self.generators[0]) if n else 0
         rows = [list(g) for g in self.generators]
         transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         r = 0
         pivots: list[tuple[int, int]] = []  # (row, col)
-        for col in range(2):
+        for col in range(dim):
             if r >= n:
                 break
             while True:
@@ -275,7 +282,7 @@ class _LatticeSolver:
                     if rows[i][col] == 0:
                         continue
                     q = rows[i][col] // rows[r][col]
-                    for k in range(2):
+                    for k in range(dim):
                         rows[i][k] -= q * rows[r][k]
                     for k in range(n):
                         transform[i][k] -= q * transform[r][k]
@@ -299,17 +306,15 @@ class _LatticeSolver:
         n = len(self.generators)
         y = list(v)
         combo = [0] * n
-        used = set()
         for r, col in self._pivots:
-            used.add(col)
             q, rem = divmod(y[col], self._rows[r][col])
             if rem != 0:
                 return None
-            for k in range(2):
-                y[k] -= q * self._rows[r][k]
+            for k, a in enumerate(self._rows[r]):
+                y[k] -= q * a
             for k in range(n):
                 combo[k] += q * self._transform[r][k]
-        if y != [0, 0]:
+        if any(y):
             return None
         return tuple(combo)
 
@@ -317,9 +322,12 @@ class _LatticeSolver:
 def lattice_member(
     vas: VasSystem, v: Sequence[int]
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Exact test for v being an integer combination of the generators."""
-    _require_dim2(vas)
-    coeffs = _LatticeSolver(vas.generators).solve(tuple(int(x) for x in v))
+    """Exact test for v being an integer combination of the generators, in
+    any dimension."""
+    v = tuple(int(x) for x in v)
+    if len(v) != vas.dim:
+        raise InvalidInputError(f"vector {v} does not have {vas.dim} entries")
+    coeffs = _LatticeSolver(vas.generators).solve(v)
     return (coeffs is not None), coeffs
 
 

@@ -41,3 +41,20 @@ def random_vas(rng: random.Random, dim: int, max_entry: int, max_gens: int) -> V
         for _ in range(count)
     )
     return VasSystem(dim, gens)
+
+
+def index_vas(rng: random.Random, dim: int) -> VasSystem:
+    """A random system whose lattice has index > 1 in Z^dim: one coordinate
+    of every generator is scaled by 2 or 3, so that coordinate of every
+    lattice point is a multiple of the factor."""
+    vas = random_vas(rng, dim, 3, 4)
+    k, factor = rng.randrange(dim), rng.choice([2, 3])
+    gens = tuple(
+        tuple(x * factor if i == k else x for i, x in enumerate(g))
+        for g in vas.generators
+    )
+    return VasSystem(dim, gens)
+
+
+# box sides that keep a full sweep of [0, side]^dim small
+INDEX_SIDES = {1: 30, 2: 8, 3: 4}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import tracemalloc
@@ -29,7 +30,8 @@ from boxvas import (
     vass1_min_ceilings,
     verify_window,
 )
-from boxvas import boxreach, core
+from boxvas import boxreach, core, lattice_member
+from boxvas._search import bfs_grid, bitmap_has, reachable_bitmap
 from boxvas.boxreach import witness_length_lower_bound
 from boxvas.cli import run_command
 from boxvas.geometry import (
@@ -41,7 +43,7 @@ from boxvas.geometry import (
     int_cone_member,
 )
 
-from conftest import random_vas
+from conftest import INDEX_SIDES, index_vas, random_vas
 
 
 def test_decide_box_examples(ex1):
@@ -569,6 +571,68 @@ def test_verify_window_skips_over_budget(ex1):
     report = verify_window(ex1, (2000, 2000), (1, 0), node_budget=10_000)
     assert report.checked == 0
     assert len(report.skipped) == 2
+
+
+def index_cases(seed):
+    """(system, cap, targets) for systems whose lattice has index > 1 in 1-,
+    2- and 3-D, with every target of [0, cap] in the box side for its
+    dimension, so both lattice and off-lattice targets occur."""
+    rng = random.Random(seed)
+    for dim, side in INDEX_SIDES.items():
+        for _ in range(4):
+            vas = index_vas(rng, dim)
+            cap = (side,) * dim
+            yield vas, cap, list(itertools.product(range(side + 1), repeat=dim))
+
+
+def test_off_lattice_refutation_is_sound():
+    refuted = 0
+    for vas, cap, points in index_cases(10):
+        bitmap = reachable_bitmap(vas.generators, cap)
+        for t in points:
+            reached = bitmap_has(bitmap, cap, t)
+            for witness in (False, True):
+                ok, bundle = decide_reach_capped(vas, t, cap, want_witness=witness)
+                assert ok == reached, (vas, t, witness)
+                assert (bundle is not None) == (ok and witness)
+            if any(t) and not lattice_member(vas, t)[0]:
+                refuted += 1
+    assert refuted
+
+
+def test_off_lattice_targets_allocate_no_table(ex1, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an off-lattice target")
+
+    monkeypatch.setattr(boxreach, "bfs_grid", no_search)
+    monkeypatch.setattr(boxreach, "reachable_bitmap", no_search)
+    tried = 0
+    for vas, cap, points in index_cases(11):
+        for t in points:
+            if any(t) and not lattice_member(vas, t)[0]:
+                assert decide_box_reach(vas, t) == (False, None)
+                for witness in (False, True):
+                    got = decide_reach_capped(vas, t, cap, want_witness=witness)
+                    assert got == (False, None)
+                tried += 1
+    assert tried
+    assert decide_box_reach(ex1, (2000, 1999)) == (False, None)
+    report = verify_window(ex1, (2000, 1999), (0, 0))
+    assert (report.checked, report.violations) == (1, ())
+
+
+def test_off_lattice_target_keeps_budget_refusal(ex1):
+    # (2000, 1999) is off ex1's lattice, yet both engines refuse its table
+    # first, with the message of an on-lattice target's refusal
+    for witness, engine in ((True, bfs_grid), (False, reachable_bitmap)):
+        with pytest.raises(ResourceBudgetError) as off:
+            decide_reach_capped(ex1, (2000, 1999), (2000, 1999), 10, witness)
+        with pytest.raises(ResourceBudgetError) as on:
+            if witness:
+                engine(ex1.generators, (2000, 1999), (1999, 1999), 10)
+            else:
+                engine(ex1.generators, (2000, 1999), 10)
+        assert str(off.value) == str(on.value)
 
 
 targets = st.tuples(st.integers(0, 12), st.integers(0, 12))

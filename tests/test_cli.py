@@ -161,6 +161,36 @@ def test_cli_threshold_with_scan(ex1_file, capsys):
     assert env["result"]["scan"]["counterexamples"] == []
 
 
+def test_cli_threshold_one_counter(tmp_path, capsys):
+    path = tmp_path / "one.vas"
+    path.write_text("vas 1\n3\n-2\n")
+    code, env, err = run_json(capsys, ["threshold", "--instance", str(path)])
+    assert code == 0
+    assert env["result"]["case"] == "one-dimensional"
+    assert (env["result"]["w"], env["result"]["degenerate"]) == (250, False)
+    assert "W = 250" in err
+    scan = ["threshold", "--instance", str(path), "--validate-radius", "3"]
+    code, env, err = run_json(capsys, scan)
+    assert (code, env) == (3, None)
+    assert "dimension 2" in err
+    path.write_text("vas 1\n-1\n-2\n")
+    code, env, _ = run_json(capsys, ["threshold", "--instance", str(path)])
+    assert code == 0
+    assert env["result"]["case"] == "degenerate"
+    assert (env["result"]["w"], env["result"]["degenerate"]) == (0, True)
+
+
+def test_cli_off_lattice_target_still_refused_over_budget(ex1_file, capsys):
+    # (2000, 1999) is off ex1's lattice, but its 2012 x 2011 table is checked
+    # against the budget before the lattice test
+    argv = ["decide-box", "--instance", ex1_file, "--target", "2000,1999"]
+    code, env, err = run_json(capsys, argv + ["--node-budget", "10"])
+    assert (code, env) == (4, None)
+    assert "4046132 cells exceeds node budget 10" in err
+    code, env, _ = run_json(capsys, argv)
+    assert (code, env["result"]) == (0, {"decision": False})
+
+
 def test_cli_steinitz(capsys):
     # a value that starts with -<digit> is a value, not an option name
     for vectors in ("5,0;-3,0", "-3,0;5,0"):

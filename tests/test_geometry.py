@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from boxvas import (
     DeepConstant,
     DegenerateSystemError,
     InternalCheckError,
+    InvalidInputError,
     Membership,
     PreconditionError,
     QuadrantRelation,
@@ -23,8 +25,10 @@ from boxvas import (
     is_m_deep,
     lattice_member,
 )
-from boxvas.core import dot
+from boxvas.core import combination, dot
 from boxvas.geometry import DEFAULT_INT_CONE_BUDGET, _solve_two_coin
+
+from conftest import index_vas, random_vas
 
 
 def test_cone_example1(ex1):
@@ -67,6 +71,72 @@ def test_lattice_examples():
     ok, coeffs = lattice_member(VasSystem(2, ((3, 5), (7, 1))), (10, 6))
     assert ok
     assert coeffs == (1, 1)
+
+
+def _det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def _minor_invariants(columns, dim):
+    """(rank, gcd of the rank-sized minors) of the matrix with these columns:
+    v is in the columns' lattice iff appending it changes neither."""
+    for k in range(dim, 0, -1):
+        g = 0
+        for rs in itertools.combinations(range(dim), k):
+            for cs in itertools.combinations(range(len(columns)), k):
+                g = math.gcd(g, _det([[columns[c][r] for c in cs] for r in rs]))
+        if g:
+            return k, g
+    return 0, 1
+
+
+def reference_lattice_member(gens, v):
+    if len(v) == 1:
+        g = math.gcd(*(x for (x,) in gens)) if gens else 0
+        return v[0] == 0 if g == 0 else v[0] % g == 0
+    before = _minor_invariants(list(gens), len(v))
+    return _minor_invariants(list(gens) + [tuple(v)], len(v)) == before
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 40), (2, 7), (3, 3)])
+def test_lattice_member_every_dimension(dim, radius):
+    rng = random.Random(dim)
+    members = refuted = 0
+    for n in range(40):
+        vas = random_vas(rng, dim, 4, 4) if n % 2 else index_vas(rng, dim)
+        for v in itertools.product(range(-radius, radius + 1), repeat=dim):
+            ok, coeffs = lattice_member(vas, v)
+            assert ok == reference_lattice_member(vas.generators, v), (vas, v)
+            if ok:
+                assert combination(vas.generators, coeffs) == v
+                members += 1
+            else:
+                assert coeffs is None
+                refuted += 1
+    assert members and refuted
+
+
+def test_lattice_member_rank_deficient():
+    line = VasSystem(2, ((2, 4), (-3, -6)))
+    ok, coeffs = lattice_member(line, (1, 2))
+    assert ok and combination(line.generators, coeffs) == (1, 2)
+    assert not lattice_member(line, (1, 3))[0]  # off the rational span
+    plane = VasSystem(3, ((1, 2, 3), (2, 4, 6), (0, 1, 1)))
+    ok, coeffs = lattice_member(plane, (1, 3, 4))
+    assert ok and combination(plane.generators, coeffs) == (1, 3, 4)
+    assert not lattice_member(plane, (1, 2, 4))[0]  # off the rational span
+    assert not lattice_member(VasSystem(3, ((0, 0, 0),)), (0, 0, 1))[0]
+    assert lattice_member(VasSystem(1, ()), (0,))[0]
+
+
+def test_lattice_member_checks_arity():
+    with pytest.raises(InvalidInputError):
+        lattice_member(VasSystem(3, ((1, 0, 0),)), (1, 0))
 
 
 def test_int_cone_examples(ex1):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from boxvas import (
     project_witness,
 )
 
-from conftest import random_vas
+from conftest import INDEX_SIDES, index_vas, random_vas
 
 
 def test_lift_shape_small():
@@ -75,6 +76,17 @@ targets = st.tuples(st.integers(0, 8), st.integers(0, 8))
 def test_lift_agrees_with_direct(seed, t):
     vas = random_vas(random.Random(seed), 2, 2, 3)
     assert decide_box_via_lift(vas, t) == decide_box_reach(vas, t)[0]
+
+
+def test_lift_agrees_on_index_lattices():
+    # the direct deciders refute off-lattice targets without a search; the
+    # lift still searches them
+    rng = random.Random(12)
+    for dim, side in INDEX_SIDES.items():
+        for _ in range(3):
+            vas = index_vas(rng, dim)
+            for t in itertools.product(range(side + 1), repeat=dim):
+                assert decide_box_via_lift(vas, t) == decide_box_reach(vas, t)[0]
 
 
 @settings(max_examples=30, deadline=None)
