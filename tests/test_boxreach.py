@@ -622,17 +622,17 @@ def test_off_lattice_targets_allocate_no_table(ex1, monkeypatch):
 
 
 def test_off_lattice_target_keeps_budget_refusal(ex1):
-    # (2000, 1999) is off ex1's lattice, yet both engines refuse its table
-    # first, with the message of an on-lattice target's refusal
-    for witness, engine in ((True, bfs_grid), (False, reachable_bitmap)):
+    # (2000, 1999) is off ex1's lattice, yet each engine's table is refused
+    # first, with the message the engine itself gives
+    cap = (2000, 1999)
+    with pytest.raises(ResourceBudgetError) as bfs:
+        bfs_grid(ex1.generators, cap, (1999, 1999), 10)
+    with pytest.raises(ResourceBudgetError) as bitmap:
+        reachable_bitmap(ex1.generators, cap, 10)
+    for witness, engine in ((True, bfs), (False, bitmap)):
         with pytest.raises(ResourceBudgetError) as off:
-            decide_reach_capped(ex1, (2000, 1999), (2000, 1999), 10, witness)
-        with pytest.raises(ResourceBudgetError) as on:
-            if witness:
-                engine(ex1.generators, (2000, 1999), (1999, 1999), 10)
-            else:
-                engine(ex1.generators, (2000, 1999), 10)
-        assert str(off.value) == str(on.value)
+            decide_reach_capped(ex1, cap, cap, 10, witness)
+        assert str(off.value) == str(engine.value)
 
 
 targets = st.tuples(st.integers(0, 12), st.integers(0, 12))
