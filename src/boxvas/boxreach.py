@@ -362,23 +362,28 @@ def _axis_ray_threshold(
 
 
 def _one_dim_witness(vas: VasSystem, t: Vector) -> WitnessBundle:
-    """Box-reaching witness for a target on the reachable ray of a
-    one-dimensional system, searched on the ray alone.
+    """Box-reaching witness for a target of a one-counter system, or on the
+    reachable ray of a collinear 2-D system, searched on the ray alone.
 
-    Inside [0, t] only generators parallel to t can fire (the cone meets the
+    A one-counter system is searched over [0, t] as it is.  In 2-D, inside
+    [0, t] only generators parallel to t can fire (the cone meets the
     quadrant in that ray), so a BFS over [0, max(t)] with their entries in
     t's largest coordinate finds the same path as a 2-D BFS, in time linear
     in the target rather than in the box.
     """
     if not any(t):
         return _bundle(vas, [], t, WitnessMethod.BFS_SEARCH)
-    ray = _primitive(t)
-    kept = [
-        i
-        for i, g in enumerate(vas.generators)
-        if any(g) and _primitive(g) in (ray, (-ray[0], -ray[1]))
-    ]
-    k = 0 if t[0] >= t[1] else 1
+    if vas.dim == 1:
+        kept: Sequence[int] = range(len(vas.generators))
+        k = 0
+    else:
+        ray = _primitive(t)
+        kept = [
+            i
+            for i, g in enumerate(vas.generators)
+            if any(g) and _primitive(g) in (ray, (-ray[0], -ray[1]))
+        ]
+        k = 0 if t[0] >= t[1] else 1
     path = bfs_grid([(vas.generators[i][k],) for i in kept], (t[k],), (t[k],))
     if path is None:
         raise InternalCheckError(
@@ -426,8 +431,9 @@ def synthesize_box_witness(
     fails the check raises ``InternalCheckError`` on either route, with no
     second attempt.
     """
-    _require_dim2(vas)
-    t = check_target(target, 2)
+    if vas.dim != 1:
+        _require_dim2(vas)
+    t = check_target(target, vas.dim)
     if (coefficients is None) == (path is None):
         raise PreconditionError(
             "supply exactly one of coefficients= or path= as evidence"

@@ -49,7 +49,7 @@ EXIT_RESOURCE = 4
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise InvalidInputError(f"malformed vector {text!r}: expected comma-separated integers")
 
@@ -230,7 +230,7 @@ def _dispatch(args) -> dict:
     if cmd == "witness":
         vas = _require_vas(_load_instance(args.instance))
         target = _parse_vector(args.target)
-        values = list(_parse_vector(args.values))
+        values = _parse_vector(args.values)
         m = DeepConstant(args.m, "configured") if args.m is not None else None
         if args.evidence == "coeffs":
             bundle = synthesize_box_witness(vas, target, coefficients=values, m=m)

@@ -6,13 +6,17 @@ refers back to a concrete system instance.  The empty path is legal and has
 effect zero.
 
 ``walk`` is the one path kernel: a single pass that checks every index and
-returns (effect, drop, peak).  ``PathRecord.record`` and the path predicates
-are read off it; ``prefix_effects`` keeps its own loop to yield each prefix.
+returns (effect, drop, peak).  It pays per run of equal indices, not per
+step, so the long runs of a reordered witness cost one update each.
+``PathRecord.record`` and the path predicates are read off it;
+``prefix_effects`` keeps its own loop to yield each prefix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import countOf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, MalformedPathError
@@ -85,21 +89,26 @@ class VasSystem:
 def walk(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector, Vector]:
     """(effect, drop, peak) of ``path`` in one pass.  Per coordinate, drop is
     minus the least prefix effect and peak the greatest; the empty prefix
-    counts, so both are >= 0.  An index outside [0, n) raises, negatives too."""
+    counts, so both are >= 0.  An index outside [0, n) raises, negatives too.
+
+    The pass goes run by run: r equal indices i add r * g_i, and a run of
+    one generator is monotone in every coordinate, so only its end can set
+    a new least or greatest prefix."""
     gens = vas.generators
     n = len(gens)
     coords = range(vas.dim)
     acc = [0] * vas.dim
     lo = [0] * vas.dim
     hi = [0] * vas.dim
-    for i in path:
+    for i, run in groupby(path):
         if not 0 <= i < n:
             raise MalformedPathError(
                 f"path index {i} out of range for {n} generators"
             )
         g = gens[i]
+        r = countOf(run, i)
         for k in coords:
-            a = acc[k] + g[k]
+            a = acc[k] + r * g[k]
             acc[k] = a
             if a < lo[k]:
                 lo[k] = a

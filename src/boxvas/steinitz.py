@@ -19,12 +19,17 @@ witness synthesis produces, with a largest-deficit proportional schedule:
 each type stays within one copy of its ideal share, which bounds the prefix
 deviation by the sum of the distinct generators' norms and so meets the
 drop/peak bounds of ``check_steinitz_drop_peak`` for every multiset size.
-Its cost is linear in the multiset size times the number of types.
+It is built run by run, never step by step: two types have a closed form
+(one list fill plus C-level index arithmetic for the smaller type), and
+three or more pay the number of types per run of equal indices.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv
 from typing import Sequence
 
 # drop_peak and effect are not called here; perfbench/tracing.py patches them
@@ -190,31 +195,75 @@ def reorder_counts(vas: VasSystem, counts: Sequence[int]) -> list[int]:
     share, so the prefix deviation stays under the sum of the distinct
     generators' norms, for any multiset size.  ``steinitz_reorder`` is the
     exact construction for an explicit vector list.
+
+    Step n (from 1) places a type i with a copy left that maximises
+    S_i = n * c_i - p_i * k, where p_i copies of it are placed and k is the
+    multiset size; ties go to the lowest index.  The order is built run by
+    run: in closed form for two types, one run per loop otherwise.
     """
     counts = [int(c) for c in counts]
     if len(counts) != len(vas.generators):
         raise PreconditionError("one count per generator is required")
     if any(c < 0 for c in counts):
         raise PreconditionError("counts must be nonnegative")
+    live = [i for i, c in enumerate(counts) if c > 0]
+    if len(live) == 2:
+        return _two_type_order(live[0], counts[live[0]], live[1], counts[live[1]])
+    return _run_order(counts, live)
+
+
+def _two_type_order(i: int, ci: int, j: int, cj: int) -> list[int]:
+    """The largest-deficit order of ci copies of i and cj copies of j, i < j.
+
+    With k = ci + cj, type i wins step n while p_i = q iff
+    n * 2ci >= (2q + 1) * k, the tie going to i, and j wins while p_j = q
+    iff n * 2cj > (2q + 1) * k.  So copy q of i sits at step
+    ceil(k(2q+1) / 2ci) and copy q of j at step floor(k(2q+1) / 2cj) + 1:
+    the list starts as the type with more copies, and the other type's
+    copies are written into it at those steps (0-based below).
+    """
+    k = ci + cj
+    if ci <= cj:
+        order = [j] * k
+        minor = i
+        spots = map(floordiv, range(k - 1, 2 * k * ci, 2 * k), repeat(2 * ci))
+    else:
+        order = [i] * k
+        minor = j
+        spots = map(floordiv, range(k, 2 * k * cj, 2 * k), repeat(2 * cj))
+    # consume the map without a Python-level loop
+    deque(map(order.__setitem__, spots, repeat(minor)), maxlen=0)
+    return order
+
+
+def _run_order(counts: list[int], live: list[int]) -> list[int]:
+    """The largest-deficit order, one run of the winning type per loop.
+
+    While j keeps winning, each step adds c_j - k to S_j and c_i to every
+    other S_i, so j still beats i after m more steps iff
+    S_j - S_i - [i < j] >= m * (k + c_i - c_j).  The run therefore lasts
+    the least of floor((S_j - S_i - [i < j]) / (k + c_i - c_j)) + 1 over
+    the other types with copies left, and at most j's own copies left.
+    """
     k = sum(counts)
-    if k == 0:
-        return []
     placed = [0] * len(counts)
     order: list[int] = []
-    live = [i for i, c in enumerate(counts) if c > 0]
-    for n in range(1, k + 1):
-        # deficit of type i scaled by k: n*count_i - placed_i*k
-        best = None
-        best_key = None
+    n = 1
+    while n <= k:
+        deficit = {i: n * counts[i] - placed[i] * k for i in live}
+        j = max(live, key=deficit.__getitem__)  # first maximum: lowest index
+        lead, cj = deficit[j], counts[j]
+        run = cj - placed[j]
         for i in live:
-            if placed[i] >= counts[i]:
-                continue
-            key = n * counts[i] - placed[i] * k
-            if best_key is None or key > best_key:
-                best_key = key
-                best = i
-        if best is None:
-            raise InternalCheckError("no generator left to place")
-        placed[best] += 1
-        order.append(best)
+            if i != j:
+                run = min(
+                    run, (lead - deficit[i] - (i < j)) // (k + counts[i] - cj) + 1
+                )
+        if run < 1:
+            raise InternalCheckError(f"empty run for generator {j} at step {n}")
+        order += repeat(j, run)
+        placed[j] += run
+        n += run
+        if placed[j] == cj:
+            live.remove(j)
     return order

@@ -180,6 +180,28 @@ def test_cli_threshold_one_counter(tmp_path, capsys):
     assert (env["result"]["w"], env["result"]["degenerate"]) == (0, True)
 
 
+def test_cli_witness_one_counter(tmp_path, capsys):
+    # steps 3, -2: W = M1 = 250, and 252 = 84 * 3
+    path = tmp_path / "one.vas"
+    path.write_text("vas 1\n3\n-2\n")
+    base = ["witness", "--instance", str(path), "--evidence", "coeffs"]
+    code, env, _ = run_json(capsys, base + ["--target", "252", "--values", "84,0"])
+    assert code == 0
+    result = env["result"]
+    assert result["method"] == "bfs-search"
+    assert result["length"] == len(result["witness"]) >= result["length_lower_bound"]
+    # the witness stays inside [0, 252] and ends there
+    height = 0
+    for i in result["witness"]:
+        height += (3, -2)[i]
+        assert 0 <= height <= 252
+    assert height == 252
+    # below W the request is refused as before, with the same exit code
+    code, env, err = run_json(capsys, base + ["--target", "249", "--values", "83,0"])
+    assert (code, env) == (3, None)
+    assert "below the threshold W = 250" in err
+
+
 def test_cli_off_lattice_target_still_refused_over_budget(ex1_file, capsys):
     # (2000, 1999) is off ex1's lattice, but its 2012 x 2011 table is checked
     # against the budget before the lattice test

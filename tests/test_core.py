@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from boxvas import (
     overshoot,
     prefix_effects,
 )
+from boxvas.core import walk
 
 ZIGZAG = VasSystem(2, ((1, 7), (3, -6), (-2, 6)))
 
@@ -71,6 +73,61 @@ def test_box_reaching_examples(ex1):
     assert is_box_reaching_trace(ex1, [2, 0, 1, 2], (21, 21))
     assert not is_box_reaching_trace(ex1, [2, 0, 1], (11, 11))
     assert is_box_reaching_trace(ex1, [], (0, 0))
+
+
+def walk_per_step(vas, path):
+    """(effect, drop, peak) from every prefix, one step at a time."""
+    n = len(vas.generators)
+    acc = lo = hi = (0,) * vas.dim
+    for i in path:
+        if not 0 <= i < n:
+            raise MalformedPathError(f"path index {i} out of range for {n} generators")
+        acc = tuple(a + x for a, x in zip(acc, vas.generators[i]))
+        lo = tuple(map(min, lo, acc))
+        hi = tuple(map(max, hi, acc))
+    return acc, tuple(-x for x in lo), hi
+
+
+def test_walk_matches_per_step_reference():
+    rng = random.Random(5)
+    for dim in (1, 2, 3):
+        for _ in range(100):
+            vas = VasSystem(
+                dim,
+                tuple(
+                    tuple(rng.randint(-6, 6) for _ in range(dim))
+                    for _ in range(rng.randint(1, 4))
+                ),
+            )
+            n = len(vas.generators)
+            runs = [
+                (rng.randrange(n), rng.choice((1, 1, 2, 50)))
+                for _ in range(rng.randint(0, 12))
+            ]
+            shapes = [
+                [],
+                [i for i, r in runs for _ in range(r)],
+                [rng.randrange(n) for _ in range(rng.randint(1, 40))],
+                [j % n for j in range(rng.randint(1, 40))],  # alternating
+                [rng.randrange(n)] * 500,
+            ]
+            for path in shapes:
+                assert walk(vas, path) == walk_per_step(vas, path), (vas, path)
+                assert walk(vas, tuple(path)) == walk_per_step(vas, path)
+
+
+def test_walk_names_the_first_bad_index_inside_a_run(ex1):
+    cases = [
+        ([0, 0, 3, 3, 3, 1], 3),
+        ([2, 2, -1, -1, 5, 5], -1),
+        ([1, 7, 7, -2], 7),
+        ([-3, -3, -3], -3),
+    ]
+    for path, bad in cases:
+        with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
+            walk(ex1, path)
+        with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
+            walk_per_step(ex1, path)
 
 
 def test_prefix_effects_starts_empty(ex1):

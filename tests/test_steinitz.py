@@ -115,3 +115,40 @@ def test_reorder_counts_matches_multiset():
     vas = VasSystem(2, ((1, 1), (0, -1)))
     order = reorder_counts(vas, [3, 2])
     assert sorted(order) == [0, 0, 0, 1, 1]
+
+
+def largest_deficit_oracle(counts):
+    """The per-step largest-deficit schedule: step n places the type with a
+    copy left that maximises n * c_i - p_i * k, ties to the lowest index."""
+    k = sum(counts)
+    placed = [0] * len(counts)
+    order = []
+    for n in range(1, k + 1):
+        best = max(
+            (i for i, c in enumerate(counts) if placed[i] < c),
+            key=lambda i: (n * counts[i] - placed[i] * k, -i),
+        )
+        placed[best] += 1
+        order.append(best)
+    return order
+
+
+def test_reorder_counts_matches_per_step_oracle():
+    rng = random.Random(12)
+    cases = [
+        [0], [5], [0, 0, 0], [0, 7, 0], [3, 3], [1, 1, 1], [7, 7, 7, 7],
+        [2, 4, 6, 8, 10], [1, 0, 1, 0, 1], [6, 3, 2],
+    ]
+    for _ in range(1500):
+        types = rng.randint(1, 5)
+        pool = [0, 0, 1, 2, rng.randint(0, 40), rng.randint(0, 400)]
+        counts = [rng.choice(pool) for _ in range(types)]
+        if rng.random() < 0.2:
+            # ties: every live type has the same count
+            counts = [rng.choice((0, 9)) for _ in range(types)]
+        cases.append(counts)
+    # the multisets of the benchmark's certify witnesses
+    cases += [[35451, 0, 54409], [4, 4, 70134], [5803, 94173], [41672, 1]]
+    for counts in cases:
+        vas = VasSystem(1, tuple((i,) for i in range(len(counts))))
+        assert reorder_counts(vas, counts) == largest_deficit_oracle(counts), counts
