@@ -220,7 +220,8 @@ def _two_type_order(i: int, ci: int, j: int, cj: int) -> list[int]:
     iff n * 2cj > (2q + 1) * k.  So copy q of i sits at step
     ceil(k(2q+1) / 2ci) and copy q of j at step floor(k(2q+1) / 2cj) + 1:
     the list starts as the type with more copies, and the other type's
-    copies are written into it at those steps (0-based below).
+    copies are written into it at those steps less one, as list indices
+    (ceil(a / b) - 1 = (a - 1) // b).
     """
     k = ci + cj
     if ci <= cj:
