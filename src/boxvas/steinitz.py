@@ -247,24 +247,28 @@ def _run_order(counts: list[int], live: list[int]) -> list[int]:
     the other types with copies left, and at most j's own copies left.
     """
     k = sum(counts)
-    placed = [0] * len(counts)
+    left = counts[:]
+    deficit = counts[:]  # S_i at step 1
     order: list[int] = []
-    n = 1
-    while n <= k:
-        deficit = {i: n * counts[i] - placed[i] * k for i in live}
-        j = max(live, key=deficit.__getitem__)  # first maximum: lowest index
+    while live:
+        j = live[0]
+        for i in live:
+            if deficit[i] > deficit[j]:  # strict: ties stay with the lower index
+                j = i
         lead, cj = deficit[j], counts[j]
-        run = cj - placed[j]
+        run = left[j]
         for i in live:
             if i != j:
-                run = min(
-                    run, (lead - deficit[i] - (i < j)) // (k + counts[i] - cj) + 1
-                )
+                m = (lead - deficit[i] - (i < j)) // (k + counts[i] - cj) + 1
+                if m < run:
+                    run = m
         if run < 1:
-            raise InternalCheckError(f"empty run for generator {j} at step {n}")
+            raise InternalCheckError(f"empty run for generator {j}")
         order += repeat(j, run)
-        placed[j] += run
-        n += run
-        if placed[j] == cj:
+        for i in live:
+            deficit[i] += run * counts[i]
+        deficit[j] -= run * k
+        left[j] -= run
+        if not left[j]:
             live.remove(j)
     return order
