@@ -126,8 +126,6 @@ def test_walk_names_the_first_bad_index_inside_a_run(ex1):
     for path, bad in cases:
         with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
             walk(ex1, path)
-        with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
-            walk_per_step(ex1, path)
 
 
 def test_prefix_effects_starts_empty(ex1):
