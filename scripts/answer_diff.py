@@ -15,22 +15,35 @@ result differs and exits 1 if there is one, 0 otherwise.  Like
 A fourth group, ``sweep``, runs what no workload does, the same fixed
 operations whatever ``--seeds`` says (``sweep_ops``): ``threshold`` and
 ``witness`` at W on one-dimensional systems, ``vass1-decide`` on small
-random 1-VASS, and the deciders and ``verify-window`` on systems whose
-lattice has index > 1, with targets on and off the lattice.
+random 1-VASS, the deciders and ``verify-window`` on systems whose
+lattice has index > 1, with targets on and off the lattice, and scans and
+integer-cone ``witness`` answers on 4-generator cones and planes.
+
+Each worker runs under a 1 GiB address-space limit, and an operation that
+raises instead of returning an exit code is recorded as that exception, so
+a revision that would build a witness of billions of steps fails that one
+operation rather than the machine.  A witness of more than 1,000 steps is
+kept and compared as its length and SHA-256 digest.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
+import resource
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 from bench_pairs import ROOT, extract, git, parse_seeds
+
+WORKER_MEMORY = 1 << 30  # bytes of address space per worker
+LONG_WITNESS = 1000  # longer witnesses are kept as length and digest
 
 
 def build_ops(perfbench: Path, workloads: list[str], seeds: list[int], work: Path) -> list[dict]:
@@ -68,6 +81,16 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     each kind with no other constraint; ``decide-box`` asks for each, and
     ``decide-reach`` with and without ``--witness`` under a cap up to 3
     above it.  ``verify-window`` sweeps a 4 x 4 window on the 2-D ones.
+
+    Last come 4-generator systems with entries up to 30 and norm at most
+    64, four of each shape: proper cones holding the quadrant, half-planes
+    (the line of +-u with p and q on one side) and full planes (p and q on
+    opposite sides of it).  Each runs ``threshold --validate-radius 8``
+    with the default M and with ``--m 0``, and a proof-case-1 ``witness``
+    under ``--m 0`` whose evidence forces the integer-cone solve: the cone
+    evidence holds no copy of the strictly positive p (it sums the
+    extremals to at least W in both coordinates), and the plane evidence
+    adds a million cancelling copies of u and -u to p.
     """
     sys.path.insert(0, str(perfbench))
     import workloads as wl
@@ -147,6 +170,44 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
                 add(f"{label} verify-window {lo}",
                     ["verify-window", "--instance", path, "--lo", wl.vec(lo),
                      "--size", "3,3", "--margin", str(rng.randint(0, 6))])
+
+    def pair(lo, hi):
+        return (rng.randint(lo, hi), rng.randint(lo, hi))
+
+    for shape in ("proper cone", "half-plane", "full plane"):
+        made = 0
+        while made < 4:
+            p = pair(1, 30)
+            if shape == "proper cone":
+                (a, b), (c, d), q = pair(0, 30), pair(0, 30), pair(0, 30)
+                gens = [(-a, b), (c, -d), p, q]
+                # (-a, b) and (c, -d) bound a cone holding the quadrant
+                ok = a + d > 0 and q != (0, 0) and b * c - a * d > 0
+            else:
+                u, q = (rng.randint(0, 30), -rng.randint(0, 30)), pair(-30, 30)
+                gens = [u, (-u[0], -u[1]), p, q]
+                sides = (u[0] * p[1] - u[1] * p[0]) * (u[0] * q[1] - u[1] * q[0])
+                ok = u != (0, 0) and (sides > 0 if shape == "half-plane" else sides < 0)
+            norm = wl.ck.vas_norm(gens)
+            if not ok or norm > 64:
+                continue
+            made += 1
+            w = 16 * norm**3  # W under --m 0
+            if shape == "proper cone":
+                # d*(-a, b) + b*(c, -d) = (D, 0) and c*(-a, b) + a*(c, -d) = (0, D)
+                x = -(-w // (b * c - a * d)) + rng.randint(0, 9)
+                counts = [(c + d) * x, (a + b) * x, 0, 1]
+            else:
+                counts = [10**6, 10**6, -(-w // min(p)) + rng.randint(0, 9), 0]
+            target = [sum(k * g[i] for k, g in zip(counts, gens)) for i in range(2)]
+            path = files.vas(gens)
+            label = f"{shape} #{made} {gens}"
+            for m in ([], ["--m", "0"]):
+                add(" ".join([label, "threshold", *m]),
+                    ["threshold", "--instance", path, *m, "--validate-radius", "8"])
+            add(f"{label} witness", ["witness", "--instance", path, "--target",
+                                     wl.vec(target), "--evidence", "coeffs",
+                                     "--values", wl.vec(counts), "--m", "0"])
     return ops
 
 
@@ -156,12 +217,22 @@ def run_ops(src: str, ops_path: str, out_path: str) -> None:
     sys.path.insert(0, src)
     from boxvas.cli import run_command
 
+    resource.setrlimit(resource.RLIMIT_AS, (WORKER_MEMORY, WORKER_MEMORY))
     answers = []
     for op in json.loads(Path(ops_path).read_text(encoding="utf-8")):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run_command(op["argv"])
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run_command(op["argv"])
+        except Exception as e:  # the answer is the exception; run the next op
+            traceback.print_exc()
+            answers.append([f"raised {type(e).__name__}", None])
+            continue
         result = json.loads(out.getvalue())["result"] if code == 0 else None
+        if result is not None and len(result.get("witness", ())) > LONG_WITNESS:
+            path = json.dumps(result["witness"]).encode()
+            result["witness"] = f"{len(result['witness'])} steps, sha256 " + \
+                hashlib.sha256(path).hexdigest()
         answers.append([code, result])
     Path(out_path).write_text(json.dumps(answers), encoding="utf-8")
 

@@ -9,17 +9,19 @@ Everything here is exact integer / rational arithmetic.  The cone of a
 2-dimensional system is classified by sorting generator directions by angle
 and looking at the largest cyclic gap: a gap over 180 degrees leaves a
 pointed cone, exactly 180 a half-plane, anything less the full plane.
+Integer-cone membership is one least-length search for every cone shape:
+the non-basic coefficients of an optimal LP basis, in a box that the
+proximity theorem and the facets bound, walked in reduced-cost order.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import gcd
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .core import (
     PathRecord,
@@ -30,7 +32,6 @@ from .core import (
     inf_norm,
     is_box_reaching_trace,  # not called here; perfbench/tracing.py patches it
     vec_scale,
-    vec_sub,
 )
 from .errors import (
     DegenerateSystemError,
@@ -343,17 +344,6 @@ def is_m_deep(cone: ConeData, v: Sequence[int], m: "DeepConstant | int") -> bool
 # integer-cone membership
 
 
-def _line_multiple(b: Vector, v: Vector) -> int | None:
-    """v as an integer multiple of the primitive direction b, if it is one."""
-    if b[0] != 0:
-        q, rem = divmod(v[0], b[0])
-    else:
-        q, rem = divmod(v[1], b[1])
-    if rem != 0 or vec_scale(q, b) != v:
-        return None
-    return q
-
-
 def _least_per_residue(
     weights: Sequence[int],
     advance: Callable[[Hashable, int, int], Hashable],
@@ -413,348 +403,143 @@ def _semigroup_rep(m: int, coins: Sequence[int]) -> list[int] | None:
     return counts
 
 
-def _signed_line_rep(m: int, multiples: Sequence[int]) -> list[int] | None:
-    """Nonnegative counts over signed nonzero ``multiples`` summing to m.
+@dataclass(frozen=True)
+class _Basis:
+    """A basis of the LP  min sum(c)  s.t.  sum c_i g_i = v, c >= 0.
 
-    When both signs are present the reachable set is the full group of
-    multiples of the overall gcd: a Bezout combination is reduced modulo the
-    first negative multiple, and the leftover (a multiple of that negative
-    entry) is settled by a two-coin solve with shifted-nonnegative counts.
+    Over the basic generators ``indices``, a vector w of the generators'
+    linear span has the coefficients ``dot(row, w) / denom``, one per row
+    (Cramer's rule, denom > 0).  ``costs[k]`` is denom times the reduced
+    cost of the non-basic generator ``others[k]``: how much one copy of it
+    lengthens the solution that the basis completes.
     """
-    if m == 0:
-        return [0] * len(multiples)
-    g = 0
-    for a in multiples:
-        g = gcd(g, a)
-    if g == 0 or m % g != 0:
-        return None
-    positives = [a for a in multiples if a > 0]
-    negatives = [a for a in multiples if a < 0]
-    if not negatives:
-        return _semigroup_rep(m, list(multiples)) if m >= 0 else None
-    if not positives:
-        return _semigroup_rep(-m, [-a for a in multiples]) if m <= 0 else None
 
-    # running Bezout combination over all multiples, scaled to m
-    combo = [0] * len(multiples)
-    run = 0
-    for i, a in enumerate(multiples):
-        if run == 0:
-            run = a
-            combo = [0] * len(multiples)
-            combo[i] = 1
-            continue
-        s, t = _bezout(run, a)
-        new = s * run + t * a
-        combo = [s * c for c in combo]
-        combo[i] += t
-        run = new
-    if run < 0:
-        run = -run
-        combo = [-c for c in combo]
-    scale = m // run
-    combo = [c * scale for c in combo]
-
-    nval = negatives[0]
-    iq = multiples.index(nval)
-    p = positives[0]
-    ip = multiples.index(p)
-    width = -nval
-    reduced = [c % width for c in combo]
-    leftover = m - sum(c * a for c, a in zip(reduced, multiples))
-    # each coefficient moved by a multiple of |nval|, so leftover is too
-    if leftover % width:
-        raise InternalCheckError("signed line leftover is not a multiple")
-    x, y = _solve_two_coin(leftover, p, nval)
-    reduced[ip] += x
-    reduced[iq] += y
-    if sum(c * a for c, a in zip(reduced, multiples)) != m or any(
-        c < 0 for c in reduced
-    ):
-        raise InternalCheckError("signed line representation failed to verify")
-    return reduced
+    indices: tuple[int, ...]
+    rows: tuple[Vector, ...]
+    denom: int
+    others: tuple[int, ...]
+    costs: tuple[int, ...]
 
 
-def _solve_two_coin(m: int, p: int, n: int) -> tuple[int, int]:
-    """Nonnegative (x, y) with x*p + y*n = m, given p > 0 > n and gcd | m."""
-    g = gcd(p, -n)
-    if m % g:
-        raise InternalCheckError(f"{m} is not a multiple of gcd {g}")
-    x0, y0 = _bezout(p, n)
-    x, y = x0 * (m // g), y0 * (m // g)
-    step_x, step_y = -n // g, p // g  # both positive
-    k = 0
-    if x < 0:
-        k = max(k, (-x + step_x - 1) // step_x)
-    if y < 0:
-        k = max(k, (-y + step_y - 1) // step_y)
-    return x + k * step_x, y + k * step_y
+@lru_cache(maxsize=64)
+def _dual_feasible_bases(gens: tuple[Vector, ...]) -> tuple[tuple[_Basis, ...], int]:
+    """The bases with no negative reduced cost, and the proximity bound.
 
-
-def _positive_zero_combo(nonzero: list[tuple[int, Vector]]) -> list[int]:
-    """For full-plane generator sets: counts z_i >= 1 with sum z_i g_i = 0.
-
-    For each generator g, -g lies in the sector between two angularly
-    consecutive representative generators u, w (one per direction) of
-    opening under 180 degrees, and Cramer's rule gives the all-integer
-    cancelling relation cross(u, w) g + cross(-g, w) u + cross(u, -g) w = 0.
-    Summing one relation per generator makes every count strictly positive.
+    Bases are the generator pairs with nonzero determinant, or single
+    generators when all are collinear; zero generators never shorten a
+    solution and are left out.  With Delta the largest absolute entry or
+    2x2 determinant and n the number of nonzero generators, some
+    least-length integer solution lies within n * Delta of every LP optimum
+    (Cook, Gerards, Schrijver & Tardos, Math. Programming 34, 1986).
     """
-    reps: dict[Vector, int] = {}
-    for pos, (_, g) in enumerate(nonzero):
-        reps.setdefault(_primitive(g), pos)
-    by_angle = cmp_to_key(_angle_cmp)
-    order = sorted(reps.values(), key=lambda pos: by_angle(nonzero[pos][1]))
-    z = [0] * len(nonzero)
-    for pos, (_, g) in enumerate(nonzero):
-        t = (-g[0], -g[1])
-        for pu, pw in zip(order, order[1:] + order[:1]):
-            u, w = nonzero[pu][1], nonzero[pw][1]
-            delta, a, b = cross(u, w), cross(t, w), cross(u, t)
-            if delta > 0 and a >= 0 and b >= 0:
-                z[pos] += delta
-                z[pu] += a
-                z[pw] += b
-                break
-        else:
-            raise InternalCheckError(
-                f"no cancelling sector found for generator {g}"
-            )
-    if combination([g for _, g in nonzero], z) != (0, 0) or any(c < 1 for c in z):
-        raise InternalCheckError("zero-effect combination failed to verify")
-    return z
+    nonzero = [i for i, g in enumerate(gens) if g != (0, 0)]
+    dets = {
+        (i, j): cross(gens[i], gens[j])
+        for i, j in itertools.combinations(nonzero, 2)
+    }
+    candidates = []
+    for (i, j), det in dets.items():
+        if det:
+            s = 1 if det > 0 else -1
+            (a, b), (c, d) = gens[i], gens[j]
+            candidates.append(((i, j), ((s * d, -s * c), (-s * b, s * a)), abs(det)))
+    if not candidates:
+        candidates = [((i,), (gens[i],), dot(gens[i], gens[i])) for i in nonzero]
+    bases = []
+    for indices, rows, denom in candidates:
+        others = tuple(k for k in nonzero if k not in indices)
+        costs = tuple(denom - sum(dot(row, gens[k]) for row in rows) for k in others)
+        if all(c >= 0 for c in costs):
+            bases.append(_Basis(indices, rows, denom, others, costs))
+    entries = [abs(x) for i in nonzero for x in gens[i]]
+    delta = max(entries + [abs(d) for d in dets.values()], default=0)
+    return tuple(bases), len(nonzero) * delta
 
 
-def _finish(
-    vas: VasSystem, v: Vector, counts_by_index: dict[int, int]
-) -> IntConeResult:
-    coeffs = [0] * len(vas.generators)
-    for idx, c in counts_by_index.items():
-        coeffs[idx] = c
-    if combination(vas.generators, coeffs) != v or any(c < 0 for c in coeffs):
-        raise InternalCheckError(
-            f"integer-cone coefficients failed to reproduce {v}"
-        )
-    return IntConeResult(Membership.MEMBER, tuple(coeffs))
+def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The points of the box [0, caps] in nondecreasing order of
+    sum(costs[k] * c[k]), for nonnegative costs.
 
-
-def _int_cone_line(
-    vas: VasSystem, v: Vector, b: Vector, on_line: list[tuple[int, Vector]]
-) -> IntConeResult:
-    """Membership of v in the integer cone of the generators ``on_line``,
-    all multiples of the primitive direction b."""
-    m_v = _line_multiple(b, v)
-    if m_v is None:
-        return IntConeResult(Membership.NON_MEMBER)
-    mults = [_line_multiple(b, g) for _, g in on_line]
-    # the residue table of a one-signed line has as many keys as its
-    # smallest multiple
-    if m_v > 0 and min(mults) > DEFAULT_INT_CONE_BUDGET:  # type: ignore[type-var]
-        return IntConeResult(Membership.UNDECIDED)
-    rep = _signed_line_rep(m_v, mults)  # type: ignore[arg-type]
-    if rep is None:
-        return IntConeResult(Membership.NON_MEMBER)
-    return _finish(vas, v, {i: c for (i, _), c in zip(on_line, rep) if c})
-
-
-def _int_cone_proper(
-    vas: VasSystem,
-    cone: ConeData,
-    v: Vector,
-    nonzero: list[tuple[int, Vector]],
-) -> IntConeResult:
-    if cone.chi1 is None or cone.chi2 is None:
-        raise InternalCheckError("proper cone without extremals")
-    i1 = next(i for i, g in nonzero if _primitive(g) == cone.chi1)
-    i2 = next(i for i, g in nonzero if _primitive(g) == cone.chi2)
-    u1 = vas.generators[i1]
-    u2 = vas.generators[i2]
-    det = cross(u1, u2)
-    d_abs = abs(det)
-    others = [(i, g) for i, g in nonzero if i not in (i1, i2)]
-    f1, f2 = cone.facets
-
-    if d_abs ** len(others) <= DEFAULT_INT_CONE_BUDGET:
-        # any solution can be normalized so every non-extremal coefficient is
-        # under |det|: |det| copies of g trade for nonnegative extremal copies
-        for combo in itertools.product(range(d_abs), repeat=len(others)):
-            r = v
-            for c, (_, g) in zip(combo, others):
-                r = (r[0] - c * g[0], r[1] - c * g[1])
-            if dot(f1, r) < 0 or dot(f2, r) < 0:
-                continue
-            qa, ra = divmod(cross(r, u2), det)
-            qb, rb = divmod(cross(u1, r), det)
-            if ra == 0 and rb == 0 and qa >= 0 and qb >= 0:
-                counts = {i1: qa, i2: qb}
-                for c, (i, _) in zip(combo, others):
-                    counts[i] = counts.get(i, 0) + c
-                return _finish(vas, v, counts)
-        return IntConeResult(Membership.NON_MEMBER)
-
-    # fallback: BFS over the facet-coordinate window, which is finite for a
-    # pointed cone; exact if it drains before the budget
-    start = (0, 0)
-    bound1, bound2 = dot(f1, v), dot(f2, v)
-    seen = {start}
-    parent: dict[Vector, tuple[Vector, int]] = {}
-    frontier = deque([start])
-    while frontier:
-        p = frontier.popleft()
-        for idx, g in nonzero:
-            q = (p[0] + g[0], p[1] + g[1])
-            if q in seen:
-                continue
-            if not (0 <= dot(f1, q) <= bound1 and 0 <= dot(f2, q) <= bound2):
-                continue
-            seen.add(q)
-            parent[q] = (p, idx)
-            if q == v:
-                counts: dict[int, int] = {}
-                node = q
-                while node != start:
-                    node, idx2 = parent[node]
-                    counts[idx2] = counts.get(idx2, 0) + 1
-                return _finish(vas, v, counts)
-            if len(seen) > DEFAULT_INT_CONE_BUDGET:
-                return IntConeResult(Membership.UNDECIDED)
-            frontier.append(q)
-    return IntConeResult(Membership.NON_MEMBER)
-
-
-def _int_cone_half_plane(
-    vas: VasSystem,
-    cone: ConeData,
-    v: Vector,
-    nonzero: list[tuple[int, Vector]],
-) -> IntConeResult:
-    (f,) = cone.facets
-    height = dot(f, v)
-    boundary = [(i, g) for i, g in nonzero if dot(f, g) == 0]
-    interior = [(i, g) for i, g in nonzero if dot(f, g) > 0]
-    b = _primitive(boundary[0][1])
-    b_mults = [_line_multiple(b, g) for _, g in boundary]
-    if None in b_mults:
-        raise InternalCheckError("boundary generator off the boundary line")
-    g_b = 0
-    for m in b_mults:
-        g_b = gcd(g_b, m)  # type: ignore[arg-type]
-
-    if height == 0:
-        return _int_cone_line(vas, v, b, boundary)
-
-    # complete b to a basis (b, p) with cross(b, p) = 1; psi(z) is the
-    # b-coordinate of z, well defined mod g_b once heights cancel
-    x0, y0 = b
-    s, t = _bezout(x0, y0)  # s*x0 + t*y0 = 1 since b is primitive
-    p = (-t, s)
-    if cross(b, p) != 1:
-        raise InternalCheckError(f"({b}, {p}) is not a unimodular basis")
-
-    def psi(z: Vector) -> int:
-        return cross(z, p)
-
-    if not interior:
-        return IntConeResult(Membership.NON_MEMBER)
-    heights = [dot(f, g) for _, g in interior]
-    psis = [psi(g) for _, g in interior]
-    h0 = min(heights)
-    j0 = heights.index(h0)
-    mod = g_b if g_b > 0 else 1
-    k0 = mod // gcd(psis[j0] % mod, mod) if mod > 1 else 1
-    period = h0 * k0
-    if period * mod > DEFAULT_INT_CONE_BUDGET:
-        return IntConeResult(Membership.UNDECIDED)
-
-    # least interior height per (height mod period, psi residue)
-    found = _least_per_residue(
-        heights,
-        lambda key, j, h: (h % period, (key[1] + psis[j]) % mod),
-        (0, 0),
-        (height % period, psi(v) % mod),
-        height,
-    )
-    if found is None:
-        return IntConeResult(Membership.NON_MEMBER)
-    least, counts = found
-    # pad the remaining height in whole k0-blocks of the smallest coin, which
-    # add `period` height each and preserve the psi residue
-    if (height - least) % period:
-        raise InternalCheckError("remaining height is not whole blocks")
-    counts[j0] += (height - least) // period * k0
-
-    residual = vec_sub(v, combination([g for _, g in interior], counts))
-    m_res = _line_multiple(b, residual)
-    if m_res is None:
-        raise InternalCheckError("half-plane residual left the boundary line")
-    rep = _signed_line_rep(m_res, b_mults)  # type: ignore[arg-type]
-    if rep is None:
-        raise InternalCheckError("half-plane residual escaped the boundary group")
-    all_counts: dict[int, int] = {}
-    for c, (i, _) in zip(counts + rep, interior + boundary):
-        if c:
-            all_counts[i] = all_counts.get(i, 0) + c
-    return _finish(vas, v, all_counts)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(s, t) with s*a + t*b = gcd(a, b) (gcd taken positive)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+    A point's parent lowers its last nonzero coordinate by one, so every
+    point is pushed once, by its parent, and costs no less than it.
+    """
+    if len(caps) == 1:
+        # one coordinate: counting up is already cost order
+        yield from ((c,) for c in range(caps[0] + 1))
+        return
+    heap = [(0, (0,) * len(caps), 0)]
+    while heap:
+        cost, c, last = heapq.heappop(heap)
+        yield c
+        for k in range(last, len(caps)):
+            if c[k] < caps[k]:
+                child = c[:k] + (c[k] + 1,) + c[k + 1 :]
+                heapq.heappush(heap, (cost + costs[k], child, k))
 
 
 def _int_cone_with(
-    vas: VasSystem,
-    cone: ConeData,
-    solver: _LatticeSolver,
-    v: Vector,
+    vas: VasSystem, cone: ConeData, solver: _LatticeSolver, v: Vector
 ) -> IntConeResult:
+    """Least-length membership of v, searched around an optimal LP basis.
+
+    Each non-basic coefficient is capped by the proximity bound and, for
+    every facet f with f.g > 0, by floor(f.v / f.g); some least-length
+    solution lies in that box.  The box is walked in order of its total
+    reduced cost, the length beyond the LP optimum, so the first point whose
+    basic coefficients come out integral and nonnegative is least-length,
+    and an exhausted box proves that v is no member.
+    """
     if v == (0, 0):
         return IntConeResult(Membership.MEMBER, (0,) * len(vas.generators))
-    if any(dot(f, v) < 0 for f in cone.facets):
+    if any(dot(f, v) < 0 for f in cone.facets) or solver.solve(v) is None:
         return IntConeResult(Membership.NON_MEMBER)
-    lam = solver.solve(v)
-    if lam is None:
+    gens = vas.generators
+    bases, proximity = _dual_feasible_bases(gens)
+    for basis in bases:
+        if min(a * v[0] + b * v[1] for a, b in basis.rows) >= 0:
+            break
+    else:
+        # a dual-feasible basis is primal-feasible whenever the LP is, so v
+        # lies outside the real cone (only a ray passes the facets so)
         return IntConeResult(Membership.NON_MEMBER)
-    nonzero = [(i, g) for i, g in enumerate(vas.generators) if g != (0, 0)]
-
-    if cone.kind is ConeKind.ZERO_ONLY:
-        return IntConeResult(Membership.NON_MEMBER)
-    if cone.kind in (ConeKind.RAY, ConeKind.LINE):
-        if cone.chi1 is None:
-            raise InternalCheckError("one-dimensional cone without direction")
-        return _int_cone_line(vas, v, cone.chi1, nonzero)
-    if cone.kind is ConeKind.FULL_PLANE:
-        z = _positive_zero_combo(nonzero)
-        shift = 0
-        for (i, _), zi in zip(nonzero, z):
-            if lam[i] < 0:
-                need = (-lam[i] + zi - 1) // zi
-                shift = max(shift, need)
-        counts: dict[int, int] = {}
-        for pos, (i, _) in enumerate(nonzero):
-            counts[i] = lam[i] + shift * z[pos]
-        return _finish(vas, v, counts)
-    if cone.kind is ConeKind.HALF_PLANE:
-        return _int_cone_half_plane(vas, cone, v, nonzero)
-    return _int_cone_proper(vas, cone, v, nonzero)
+    caps = []
+    for k in basis.others:
+        cap = proximity
+        for f in cone.facets:
+            fg = f[0] * gens[k][0] + f[1] * gens[k][1]
+            if fg > 0:
+                cap = min(cap, (f[0] * v[0] + f[1] * v[1]) // fg)
+        caps.append(cap)
+    for walked, c in enumerate(_cost_order(basis.costs, caps)):
+        if walked == DEFAULT_INT_CONE_BUDGET:
+            return IntConeResult(Membership.UNDECIDED)
+        x, y = v
+        for ck, k in zip(c, basis.others):
+            x, y = x - ck * gens[k][0], y - ck * gens[k][1]
+        qs = []
+        for a, b in basis.rows:
+            q, rem = divmod(a * x + b * y, basis.denom)
+            if rem or q < 0:
+                break
+            qs.append(q)
+        else:
+            found = c + tuple(qs)
+            coeffs = [0] * len(gens)
+            for k, ck in zip(basis.others + basis.indices, found):
+                coeffs[k] = ck
+            if combination(gens, coeffs) != v:
+                raise InternalCheckError(f"integer-cone coefficients miss {v}")
+            return IntConeResult(Membership.MEMBER, tuple(coeffs))
+    return IntConeResult(Membership.NON_MEMBER)
 
 
 def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
     """Exact membership of v in the nonnegative-integer span of the generators.
 
-    Returns MEMBER with reproducing coefficients, NON_MEMBER, or UNDECIDED
-    when a table or search would exceed ``DEFAULT_INT_CONE_BUDGET`` entries
-    before a sound answer was found.
+    Returns MEMBER with least-length reproducing coefficients (no other
+    nonnegative integer combination summing to v has a smaller total),
+    NON_MEMBER, or UNDECIDED when the search walked
+    ``DEFAULT_INT_CONE_BUDGET`` candidate points without an answer.
     """
     _require_dim2(vas)
     cone = cone_from_generators(vas)

@@ -25,8 +25,9 @@ from boxvas import (
     is_m_deep,
     lattice_member,
 )
+from boxvas import geometry
 from boxvas.core import combination, dot
-from boxvas.geometry import DEFAULT_INT_CONE_BUDGET, _solve_two_coin
+from boxvas.geometry import DEFAULT_INT_CONE_BUDGET
 
 from conftest import index_vas, random_vas
 
@@ -216,6 +217,65 @@ def test_int_cone_rare_branches(gens, v):
         ) == v
 
 
+@pytest.mark.parametrize(
+    "gens, v, walked, status",
+    [
+        # the whole box of 13 candidates holds no solution
+        (BOUNDARY_HALF_PLANE, (4, 0), 13, Membership.NON_MEMBER),
+        # the 8th candidate completes to a solution
+        (FALLBACK_CONE, (5, 7), 8, Membership.MEMBER),
+    ],
+)
+def test_int_cone_budget_counts_walked_points(monkeypatch, gens, v, walked, status):
+    vas = VasSystem(2, gens)
+    monkeypatch.setattr(geometry, "DEFAULT_INT_CONE_BUDGET", walked)
+    assert int_cone_member(vas, v).status is status
+    monkeypatch.setattr(geometry, "DEFAULT_INT_CONE_BUDGET", walked - 1)
+    assert int_cone_member(vas, v).status is Membership.UNDECIDED
+
+
+def _plane_distances(gens, window):
+    """Least step counts from the origin over the generators, by BFS inside
+    the square [-window, window]^2."""
+    dist = {(0, 0): 0}
+    frontier = [(0, 0)]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = (p[0] + g[0], p[1] + g[1])
+                if q not in dist and max(abs(q[0]), abs(q[1])) <= window:
+                    dist[q] = dist[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return dist
+
+
+def test_int_cone_least_length():
+    # steps of infinity-norm at most 2 to a target of norm at most 6: the
+    # Steinitz lemma orders any combination so that its partial sums stay
+    # within 2 * (2 + 6) of the segment to the target, inside the window
+    rng = random.Random(13)
+    members = 0
+    for _ in range(120):
+        gens = tuple(
+            tuple(rng.randint(-2, 2) for _ in range(2))
+            for _ in range(rng.randint(2, 4))
+        )
+        vas = VasSystem(2, gens)
+        dist = _plane_distances(gens, 6 + 2 * (2 + 6))
+        for v in itertools.product(range(-6, 7), repeat=2):
+            res = int_cone_member(vas, v)
+            assert res.status is not Membership.UNDECIDED
+            assert res.is_member == (v in dist), (gens, v)
+            if res.is_member:
+                assert combination(gens, res.coefficients) == v
+                assert min(res.coefficients) >= 0
+                assert sum(res.coefficients) == dist[v], (gens, v, res)
+                members += 1
+    assert members > 1000
+
+
 def test_int_cone_implies_lattice_and_facets(ex1):
     cone = cone_from_generators(ex1)
     for v in [(1, 1), (0, 3), (5, 5), (11, 11)]:
@@ -292,21 +352,3 @@ def test_deep_constant_default(ex1):
     assert m.value == 16 * ex1.norm**3
     assert m.provenance == "default"
     assert DeepConstant(5).provenance == "configured"
-
-
-def test_solve_two_coin_differential():
-    rng = random.Random(19)
-    for _ in range(400):
-        p, n = rng.randint(1, 12), -rng.randint(1, 12)
-        m = rng.randint(-60, 60)
-        # the least x of a nonnegative solution is at most |m| + |n|
-        solvable = any(
-            (m - x * p) % n == 0 and (m - x * p) // n >= 0
-            for x in range(abs(m) - n + 1)
-        )
-        if not solvable:
-            with pytest.raises(InternalCheckError):
-                _solve_two_coin(m, p, n)
-            continue
-        x, y = _solve_two_coin(m, p, n)
-        assert x >= 0 and y >= 0 and x * p + y * n == m, (m, p, n)
