@@ -499,8 +499,8 @@ def _int_cone_with(
         if min(a * v[0] + b * v[1] for a, b in basis.rows) >= 0:
             break
     else:
-        # a dual-feasible basis is primal-feasible whenever the LP is, so v
-        # lies outside the real cone (only a ray passes the facets so)
+        # some dual-feasible basis is primal-feasible if the LP is feasible,
+        # so v is outside the real cone (only a ray's facets let it pass)
         return IntConeResult(Membership.NON_MEMBER)
     caps = []
     for k in basis.others:
