@@ -9,9 +9,9 @@ Everything here is exact integer / rational arithmetic.  The cone of a
 2-dimensional system is classified by sorting generator directions by angle
 and looking at the largest cyclic gap: a gap over 180 degrees leaves a
 pointed cone, exactly 180 a half-plane, anything less the full plane.
-Integer-cone membership is one least-length search for every cone shape:
-the non-basic coefficients of an optimal LP basis, in a box that the
-proximity theorem and the facets bound, walked in reduced-cost order.
+Integer-cone membership is one search for every cone shape: the non-basic
+coefficients of an LP basis, in a box that the facets and a determinant or
+proximity bound cap, walked in order of their cost.
 """
 from __future__ import annotations
 
@@ -411,7 +411,8 @@ class _Basis:
     linear span has the coefficients ``dot(row, w) / denom``, one per row
     (Cramer's rule, denom > 0).  ``costs[k]`` is denom times the reduced
     cost of the non-basic generator ``others[k]``: how much one copy of it
-    lengthens the solution that the basis completes.
+    lengthens the solution that the basis completes (1 per step instead
+    for a proper cone's extremal pair).
     """
 
     indices: tuple[int, ...]
@@ -456,6 +457,21 @@ def _dual_feasible_bases(gens: tuple[Vector, ...]) -> tuple[tuple[_Basis, ...], 
     return tuple(bases), len(nonzero) * delta
 
 
+@lru_cache(maxsize=64)
+def _extremal_basis(gens: tuple[Vector, ...], chi1: Vector, chi2: Vector) -> _Basis:
+    """A proper cone's first generators along chi1 and chi2, at cost 1 per
+    other step.  D = |det| copies of any generator are a nonnegative integer
+    combination of the two, so a solution with the fewest other steps keeps
+    each below D."""
+    nonzero = [i for i, g in enumerate(gens) if g != (0, 0)]
+    i, j = (next(k for k in nonzero if _primitive(gens[k]) == chi) for chi in (chi1, chi2))
+    (a, b), (c, d) = gens[i], gens[j]
+    s = 1 if a * d - b * c > 0 else -1
+    others = tuple(k for k in nonzero if k not in (i, j))
+    rows = ((s * d, -s * c), (-s * b, s * a))
+    return _Basis((i, j), rows, s * (a * d - b * c), others, (1,) * len(others))
+
+
 def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The points of the box [0, caps] in nondecreasing order of
     sum(costs[k] * c[k]), for nonnegative costs.
@@ -480,31 +496,37 @@ def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int
 def _int_cone_with(
     vas: VasSystem, cone: ConeData, solver: _LatticeSolver, v: Vector
 ) -> IntConeResult:
-    """Least-length membership of v, searched around an optimal LP basis.
+    """Membership of v, searched around the extremal pair of a proper cone
+    or else an optimal LP basis.
 
-    Each non-basic coefficient is capped by the proximity bound and, for
-    every facet f with f.g > 0, by floor(f.v / f.g); some least-length
-    solution lies in that box.  The box is walked in order of its total
-    reduced cost, the length beyond the LP optimum, so the first point whose
-    basic coefficients come out integral and nonnegative is least-length,
-    and an exhausted box proves that v is no member.
+    Each non-basic coefficient is capped by |det| - 1 or the proximity
+    bound and, for every facet f with f.g > 0, by floor(f.v / f.g); some
+    solution with the fewest steps off the pair, or least length, lies in
+    that box.  The box is walked in order of its total cost, so the first
+    point whose basic coefficients come out integral and nonnegative is
+    one, and an exhausted box proves that v is no member.
     """
     if v == (0, 0):
         return IntConeResult(Membership.MEMBER, (0,) * len(vas.generators))
     if any(dot(f, v) < 0 for f in cone.facets) or solver.solve(v) is None:
         return IntConeResult(Membership.NON_MEMBER)
     gens = vas.generators
-    bases, proximity = _dual_feasible_bases(gens)
-    for basis in bases:
-        if min(a * v[0] + b * v[1] for a, b in basis.rows) >= 0:
-            break
+    if cone.kind is ConeKind.PROPER_CONE:
+        basis = _extremal_basis(gens, cone.chi1, cone.chi2)
+        bound = basis.denom - 1
     else:
-        # some dual-feasible basis is primal-feasible if the LP is feasible,
-        # so v is outside the real cone (only a ray's facets let it pass)
-        return IntConeResult(Membership.NON_MEMBER)
+        bases, bound = _dual_feasible_bases(gens)
+        for basis in bases:
+            if min(a * v[0] + b * v[1] for a, b in basis.rows) >= 0:
+                break
+        else:
+            # some dual-feasible basis is primal-feasible if the LP is
+            # feasible, so v is outside the real cone (only a ray's facets
+            # let it pass)
+            return IntConeResult(Membership.NON_MEMBER)
     caps = []
     for k in basis.others:
-        cap = proximity
+        cap = bound
         for f in cone.facets:
             fg = f[0] * gens[k][0] + f[1] * gens[k][1]
             if fg > 0:
@@ -536,10 +558,12 @@ def _int_cone_with(
 def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
     """Exact membership of v in the nonnegative-integer span of the generators.
 
-    Returns MEMBER with least-length reproducing coefficients (no other
-    nonnegative integer combination summing to v has a smaller total),
-    NON_MEMBER, or UNDECIDED when the search walked
-    ``DEFAULT_INT_CONE_BUDGET`` candidate points without an answer.
+    Returns MEMBER with reproducing coefficients, NON_MEMBER, or UNDECIDED
+    when the search walked ``DEFAULT_INT_CONE_BUDGET`` candidate points
+    without an answer.  In a proper cone the coefficients take the fewest
+    steps off the extremal pair, so their total follows v's coordinates
+    along the extremal rays, not the cone's inner shortcuts; otherwise
+    they are least-length.
     """
     _require_dim2(vas)
     cone = cone_from_generators(vas)

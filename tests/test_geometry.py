@@ -222,8 +222,9 @@ def test_int_cone_rare_branches(gens, v):
     [
         # the whole box of 13 candidates holds no solution
         (BOUNDARY_HALF_PLANE, (4, 0), 13, Membership.NON_MEMBER),
-        # the 8th candidate completes to a solution
-        (FALLBACK_CONE, (5, 7), 8, Membership.MEMBER),
+        # the 11th candidate, the first with 4 steps off the extremal pair,
+        # completes to a solution
+        (FALLBACK_CONE, (5, 7), 11, Membership.MEMBER),
     ],
 )
 def test_int_cone_budget_counts_walked_points(monkeypatch, gens, v, walked, status):
@@ -251,18 +252,46 @@ def _plane_distances(gens, window):
     return dist
 
 
+def _extremal_pair(gens, cone):
+    nonzero = [i for i, g in enumerate(gens) if g != (0, 0)]
+    i = next(k for k in nonzero if geometry._primitive(gens[k]) == cone.chi1)
+    j = next(k for k in nonzero if geometry._primitive(gens[k]) == cone.chi2)
+    return i, j, [k for k in nonzero if k not in (i, j)]
+
+
+def _fewest_off_pair_steps(gens, cone, v):
+    """The fewest steps off the extremal pair of a proper cone in a
+    combination summing to v, by enumerating every other coefficient below
+    the pair's |det| and solving the pair by Cramer's rule."""
+    i, j, others = _extremal_pair(gens, cone)
+    det = gens[i][0] * gens[j][1] - gens[i][1] * gens[j][0]
+    fewest = None
+    for combo in itertools.product(range(abs(det)), repeat=len(others)):
+        r = (
+            v[0] - sum(c * gens[k][0] for c, k in zip(combo, others)),
+            v[1] - sum(c * gens[k][1] for c, k in zip(combo, others)),
+        )
+        a, ra = divmod(r[0] * gens[j][1] - r[1] * gens[j][0], det)
+        b, rb = divmod(gens[i][0] * r[1] - gens[i][1] * r[0], det)
+        if ra == rb == 0 and a >= 0 and b >= 0:
+            fewest = sum(combo) if fewest is None else min(fewest, sum(combo))
+    return fewest
+
+
 def test_int_cone_least_length():
     # steps of infinity-norm at most 2 to a target of norm at most 6: the
     # Steinitz lemma orders any combination so that its partial sums stay
-    # within 2 * (2 + 6) of the segment to the target, inside the window
+    # within 2 * (2 + 6) of the segment to the target, inside the window.
+    # A proper cone's answer takes the fewest steps off its extremal pair.
     rng = random.Random(13)
-    members = 0
+    members = {kind: 0 for kind in ConeKind}
     for _ in range(120):
         gens = tuple(
             tuple(rng.randint(-2, 2) for _ in range(2))
             for _ in range(rng.randint(2, 4))
         )
         vas = VasSystem(2, gens)
+        cone = cone_from_generators(vas)
         dist = _plane_distances(gens, 6 + 2 * (2 + 6))
         for v in itertools.product(range(-6, 7), repeat=2):
             res = int_cone_member(vas, v)
@@ -271,9 +300,16 @@ def test_int_cone_least_length():
             if res.is_member:
                 assert combination(gens, res.coefficients) == v
                 assert min(res.coefficients) >= 0
-                assert sum(res.coefficients) == dist[v], (gens, v, res)
-                members += 1
-    assert members > 1000
+                if cone.kind is ConeKind.PROPER_CONE:
+                    _, _, others = _extremal_pair(gens, cone)
+                    off_pair = sum(res.coefficients[k] for k in others)
+                    fewest = _fewest_off_pair_steps(gens, cone, v)
+                    assert off_pair == fewest, (gens, v, res)
+                else:
+                    assert sum(res.coefficients) == dist[v], (gens, v, res)
+                members[cone.kind] += 1
+    assert members[ConeKind.PROPER_CONE] > 500, members
+    assert sum(members.values()) - members[ConeKind.PROPER_CONE] > 500, members
 
 
 def test_int_cone_implies_lattice_and_facets(ex1):
