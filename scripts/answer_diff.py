@@ -7,17 +7,19 @@ operations of HEAD's ``perfbench/workloads.py`` (which it imports but does
 not change), with their instance files in a temporary directory.  It then
 runs each operation through ``boxvas.cli.run_command`` in ``git archive``
 snapshots of ``--parent`` and of HEAD, one worker process per snapshot, and
-compares the exit code and the envelope's ``result`` (the timing and the
-echoed budget are not answers).  It lists every operation whose exit code or
-result differs and exits 1 if there is one, 0 otherwise.  Like
+compares the exit code, the envelope's ``result`` and the stderr summary
+line (the timing and the echoed budget are not answers).  It lists every
+operation whose exit code, result or summary differs and exits 1 if there is
+one, 0 otherwise.  Like
 ``bench_pairs.py``, it compares commits: uncommitted edits are not run.
 
 A fourth group, ``sweep``, runs what no workload does, the same fixed
 operations whatever ``--seeds`` says (``sweep_ops``): ``threshold`` and
 ``witness`` at W on one-dimensional systems, ``vass1-decide`` on small
 random 1-VASS, the deciders and ``verify-window`` on systems whose
-lattice has index > 1, with targets on and off the lattice, and scans and
-integer-cone ``witness`` answers on 4-generator cones and planes.
+lattice has index > 1, with targets on and off the lattice, scans and
+integer-cone ``witness`` answers on 4-generator cones and planes, and
+``decide-reach`` at target 0 under a cap over the node budget.
 
 Each worker runs under a 1 GiB address-space limit, and an operation that
 raises instead of returning an exit code is recorded as that exception, so
@@ -91,6 +93,9 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     evidence holds no copy of the strictly positive p (it sums the
     extremals to at least W in both coordinates), and the plane evidence
     adds a million cancelling copies of u and -u to p.
+
+    Last of all, ``decide-reach`` asks for target 0 on ex1 under a cap of
+    100,000^2 cells, with and without ``--witness``.
     """
     sys.path.insert(0, str(perfbench))
     import workloads as wl
@@ -208,32 +213,39 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             add(f"{label} witness", ["witness", "--instance", path, "--target",
                                      wl.vec(target), "--evidence", "coeffs",
                                      "--values", wl.vec(counts), "--m", "0"])
+
+    zero = ["decide-reach", "--instance", files.vas([(-1, 2), (2, -1), (10, 10)]),
+            "--target", "0,0", "--cap", "100000,100000"]
+    add("ex1 decide-reach 0 over-budget cap", zero)
+    add("ex1 decide-reach --witness 0 over-budget cap", zero + ["--witness"])
     return ops
 
 
 def run_ops(src: str, ops_path: str, out_path: str) -> None:
     """Worker: run every operation in one process with ``src`` first on the
-    path, and write (exit code, result) per operation."""
+    path, and write (exit code, result, summary) per operation; the summary
+    is the last stderr line of an operation that exits 0."""
     sys.path.insert(0, src)
     from boxvas.cli import run_command
 
     resource.setrlimit(resource.RLIMIT_AS, (WORKER_MEMORY, WORKER_MEMORY))
     answers = []
     for op in json.loads(Path(ops_path).read_text(encoding="utf-8")):
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run_command(op["argv"])
         except Exception as e:  # the answer is the exception; run the next op
             traceback.print_exc()
-            answers.append([f"raised {type(e).__name__}", None])
+            answers.append([f"raised {type(e).__name__}", None, None])
             continue
         result = json.loads(out.getvalue())["result"] if code == 0 else None
+        summary = err.getvalue().splitlines()[-1] if code == 0 else None
         if result is not None and len(result.get("witness", ())) > LONG_WITNESS:
             path = json.dumps(result["witness"]).encode()
             result["witness"] = f"{len(result['witness'])} steps, sha256 " + \
                 hashlib.sha256(path).hexdigest()
-        answers.append([code, result])
+        answers.append([code, result, summary])
     Path(out_path).write_text(json.dumps(answers), encoding="utf-8")
 
 

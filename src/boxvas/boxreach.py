@@ -179,23 +179,27 @@ def decide_reach_capped(
     """Reachability of ``target`` with every intermediate point within ``cap``.
 
     The default engine is the bitmap fixpoint (decision only); requesting a
-    witness switches to the BFS engine.  Every path to t sums generators, so
-    a nonzero t outside their integer lattice is answered (False, None)
-    without a search.  That test runs after the selected engine's cell
-    check, so a table over ``node_budget`` is refused whatever the target.
+    witness switches to the BFS engine.  The empty path reaches t = 0 inside
+    any cap, so 0 is answered True (with that path as the witness) before
+    either engine runs.  Every path to t sums generators, so a nonzero t
+    outside their integer lattice is answered (False, None) without a
+    search.  That test runs after the selected engine's cell check, so a
+    table over ``node_budget`` is refused whatever the nonzero target.
     """
     t = check_target(target, vas.dim)
     c = check_target(cap, vas.dim)
     if not all(x <= y for x, y in zip(t, c)):
         raise PreconditionError(f"target {t} exceeds cap {c}")
-    if any(t):
-        if want_witness:
-            padded = bfs_padding(vas.generators, c)[1]
-            check_cells("padded grid", grid_cells(padded), node_budget)
-        else:
-            check_cells("grid", grid_cells(c), node_budget)
-        if _LatticeSolver(vas.generators).solve(t) is None:
-            return False, None
+    if not any(t):
+        bundle = _bundle(vas, [], t, WitnessMethod.BFS_SEARCH, cap=c) if want_witness else None
+        return True, bundle
+    if want_witness:
+        padded = bfs_padding(vas.generators, c)[1]
+        check_cells("padded grid", grid_cells(padded), node_budget)
+    else:
+        check_cells("grid", grid_cells(c), node_budget)
+    if _LatticeSolver(vas.generators).solve(t) is None:
+        return False, None
     if want_witness:
         path = bfs_grid(vas.generators, c, t, node_budget)
         if path is None:

@@ -15,7 +15,7 @@ import json
 import re
 import sys
 import time
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._search import DEFAULT_NODE_BUDGET
 from .boxreach import (
@@ -92,6 +92,224 @@ def _require_vass1(inst: InstanceFile) -> Vass1System:
     return inst.vass1
 
 
+def _arg(*names, **options):
+    """One flag of a subcommand: the arguments of ``add_argument``."""
+    return names, options
+
+
+_INSTANCE = _arg("--instance", required=True, help="instance file path")
+# only the commands whose engines read --node-budget take it
+_BUDGET = _arg("--node-budget", type=_nonnegative, default=DEFAULT_NODE_BUDGET)
+
+
+class _Command(NamedTuple):
+    """A subcommand: its flags, and the handler that takes the parsed
+    arguments and returns the JSON result and the one-line stderr summary."""
+
+    name: str
+    purpose: str
+    flags: tuple
+    run: Callable[[argparse.Namespace], tuple[dict, str]]
+
+
+def _command(name: str, purpose: str, *flags):
+    """Make the decorated handler the subcommand ``name`` with ``flags``."""
+    return lambda run: _Command(name, purpose, flags, run)
+
+
+def _decision(decision: bool, witness: Sequence[int] | None) -> tuple[dict, str]:
+    """Result and summary of a decider; ``witness`` is None when not asked."""
+    result = {"decision": decision}
+    summary = f"decision: {str(decision).lower()}"
+    if witness is not None:
+        result["witness"] = list(witness)
+        summary += f" (witness length {len(witness)})"
+    return result, summary
+
+
+@_command("decide-box", "exact box-reachability decision", _INSTANCE, _BUDGET,
+          _arg("--target", required=True))
+def _decide_box(args):
+    vas = _require_vas(_load_instance(args.instance))
+    decision, bundle = decide_box_reach(vas, _parse_vector(args.target), args.node_budget)
+    return _decision(decision, bundle and bundle.path.indices)
+
+
+@_command("decide-reach", "reachability within a cap box", _INSTANCE, _BUDGET,
+          _arg("--target", required=True),
+          _arg("--cap", required=True),
+          _arg("--witness", action="store_true"))
+def _decide_reach(args):
+    vas = _require_vas(_load_instance(args.instance))
+    decision, bundle = decide_reach_capped(
+        vas, _parse_vector(args.target), _parse_vector(args.cap), args.node_budget,
+        want_witness=args.witness,
+    )
+    return _decision(decision, bundle and bundle.path.indices)
+
+
+@_command("threshold", "the threshold W and its case", _INSTANCE,
+          _arg("--m", type=int, default=None, help="explicit deep constant"),
+          _arg("--validate-radius", type=_nonnegative, default=None))
+def _threshold(args):
+    vas = _require_vas(_load_instance(args.instance))
+    m = DeepConstant(args.m, "configured") if args.m is not None else None
+    report = compute_threshold(vas, m)
+    result = {
+        "w": report.w,
+        "case": report.case_tag.value,
+        "m": report.m_used.value,
+        "m_provenance": report.m_used.provenance,
+        "formula": report.formula_trace,
+        "degenerate": report.degenerate,
+    }
+    if args.validate_radius is not None:
+        scan = ditc_falsification_scan(vas, report.m_used, args.validate_radius)
+        result["scan"] = {
+            "radius": scan.radius,
+            "deep_lattice_points": scan.deep_lattice_points,
+            "counterexamples": [list(v) for v in scan.counterexamples],
+            "undecided": [list(v) for v in scan.undecided],
+        }
+    return result, f"W = {report.w} [{report.case_tag.value}]"
+
+
+@_command("seed", "the strictly positive seed vector", _INSTANCE)
+def _seed(args):
+    seed = compute_seed(_require_vas(_load_instance(args.instance)))
+    result = {
+        "s": list(seed.s),
+        "s_pos": list(seed.s_pos),
+        "witness": list(seed.witness.indices),
+        "repeat": seed.repeat,
+    }
+    return result, f"seed s_pos = {tuple(seed.s_pos)}"
+
+
+@_command("steinitz", "reorder a vector multiset",
+          _arg("--vectors", required=True, help="semicolon-separated vectors, e.g. '1,1;-1,0'"))
+def _steinitz(args):
+    reordered = steinitz_reorder(_parse_vector_list(args.vectors))
+    result = {
+        "permutation": list(reordered.permutation),
+        "corridor_bound": reordered.corridor_bound,
+        "verified": reordered.verified,
+    }
+    summary = (f"permutation of {len(reordered.permutation)} vectors, "
+               f"bound {reordered.corridor_bound}")
+    return result, summary
+
+
+@_command("witness", "constructive box-reaching witness", _INSTANCE,
+          _arg("--target", required=True),
+          _arg("--evidence", choices=["coeffs", "path"], required=True),
+          _arg("--values", required=True, help="comma-separated integers"),
+          _arg("--m", type=int, default=None))
+def _witness(args):
+    vas = _require_vas(_load_instance(args.instance))
+    target = _parse_vector(args.target)
+    values = _parse_vector(args.values)
+    m = DeepConstant(args.m, "configured") if args.m is not None else None
+    if args.evidence == "coeffs":
+        bundle = synthesize_box_witness(vas, target, coefficients=values, m=m)
+    else:
+        bundle = synthesize_box_witness(vas, target, path=values, m=m)
+    result = {
+        "method": bundle.method.value,
+        "witness": list(bundle.path.indices),
+        "length": len(bundle.path),
+        "length_lower_bound": witness_length_lower_bound(vas, bundle.target),
+    }
+    if bundle.rho_source is not None:
+        result["rho_source"] = bundle.rho_source
+    summary = (f"witness via {result['method']}, length {result['length']} "
+               f"(lower bound {result['length_lower_bound']})")
+    return result, summary
+
+
+@_command("lift", "dimension-doubling reduction", _INSTANCE, _BUDGET,
+          _arg("--target", default=None))
+def _lift(args):
+    vas = _require_vas(_load_instance(args.instance))
+    lifted = lift_vas(vas)
+    result = {
+        "dim": lifted.system.dim,
+        "generators": [list(g) for g in lifted.system.generators],
+        "instance": serialize_instance(InstanceFile(kind="vas", vas=lifted.system)),
+    }
+    if args.target is None:
+        return result, f"lifted to dimension {lifted.system.dim}"
+    from .lift import decide_box_via_lift
+
+    result["decision"] = decide_box_via_lift(vas, _parse_vector(args.target), args.node_budget)
+    return result, _decision(result["decision"], None)[1]
+
+
+@_command("verify-window", "sweep a window of targets", _INSTANCE, _BUDGET,
+          _arg("--lo", required=True),
+          _arg("--size", required=True),
+          _arg("--margin", type=_nonnegative, default=None))
+def _verify_window(args):
+    report = verify_window(
+        _require_vas(_load_instance(args.instance)),
+        _parse_vector(args.lo),
+        _parse_vector(args.size),
+        cap_margin=args.margin,
+        node_budget=args.node_budget,
+    )
+    result = {
+        "checked": report.checked,
+        "violations": [list(t) for t in report.violations],
+        "skipped": [list(t) for t in report.skipped],
+        "cap_margin": report.cap_margin,
+    }
+    return result, f"checked {report.checked}, violations {len(report.violations)}"
+
+
+@_command("vass1-decide", "1-VASS box-reachability", _INSTANCE, _BUDGET,
+          _arg("--from", dest="from_state", default=None),
+          _arg("--to", dest="to_state", required=True),
+          _arg("--x", type=_nonnegative, required=True))
+def _vass1_decide(args):
+    inst = _load_instance(args.instance)
+    q0 = args.from_state if args.from_state is not None else inst.init_state
+    return _decision(*vass1_box_decide(
+        _require_vass1(inst), q0, args.to_state, args.x, args.node_budget
+    ))
+
+
+@_command("vass1-semilinear", "semilinear box-reachability set", _INSTANCE, _BUDGET,
+          _arg("--to", dest="to_state", required=True),
+          _arg("--b-lps", dest="b_lps", type=_positive, default=None))
+def _vass1_semilinear(args):
+    inst = _load_instance(args.instance)
+    semi, bounds = build_semilinear(
+        _require_vass1(inst),
+        inst.init_state,
+        args.to_state,
+        b_lps=args.b_lps,
+        node_budget=args.node_budget,
+    )
+    result = {
+        "explicit": sorted(semi.explicit),
+        "components": [
+            {"base": base, "periods": list(periods)}
+            for base, periods in semi.components
+        ],
+        "partial": semi.partial,
+        "bounds": {
+            "b_lps": bounds.b_lps,
+            "b_lps_provenance": "heuristic" if args.b_lps is None else "configured",
+            "maxover": bounds.maxover,
+            "theta_len_bound": bounds.theta_len_bound,
+            "p3": bounds.p3,
+        },
+    }
+    summary = (f"{len(result['explicit'])} explicit values, "
+               f"{len(result['components'])} linear components")
+    return result, summary
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged and
@@ -101,253 +319,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Box-reachability toolkit for vector addition systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, instance=True, budget=False):
-        # only the commands whose engines read --node-budget take it
-        if instance:
-            p.add_argument("--instance", required=True, help="instance file path")
-        if budget:
-            p.add_argument("--node-budget", type=_nonnegative, default=DEFAULT_NODE_BUDGET)
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is single-threaded")
-
-    p = sub.add_parser("decide-box", help="exact box-reachability decision")
-    common(p, budget=True)
-    p.add_argument("--target", required=True)
-
-    p = sub.add_parser("decide-reach", help="reachability within a cap box")
-    common(p, budget=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--cap", required=True)
-    p.add_argument("--witness", action="store_true")
-
-    p = sub.add_parser("threshold", help="the threshold W and its case")
-    common(p)
-    p.add_argument("--m", type=int, default=None, help="explicit deep constant")
-    p.add_argument("--validate-radius", type=_nonnegative, default=None)
-
-    p = sub.add_parser("seed", help="the strictly positive seed vector")
-    common(p)
-
-    p = sub.add_parser("steinitz", help="reorder a vector multiset")
-    common(p, instance=False)
-    p.add_argument("--vectors", required=True, help="semicolon-separated vectors, e.g. '1,1;-1,0'")
-
-    p = sub.add_parser("witness", help="constructive box-reaching witness")
-    common(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--evidence", choices=["coeffs", "path"], required=True)
-    p.add_argument("--values", required=True, help="comma-separated integers")
-    p.add_argument("--m", type=int, default=None)
-
-    p = sub.add_parser("lift", help="dimension-doubling reduction")
-    common(p, budget=True)
-    p.add_argument("--target", default=None)
-
-    p = sub.add_parser("verify-window", help="sweep a window of targets")
-    common(p, budget=True)
-    p.add_argument("--lo", required=True)
-    p.add_argument("--size", required=True)
-    p.add_argument("--margin", type=_nonnegative, default=None)
-
-    p = sub.add_parser("vass1-decide", help="1-VASS box-reachability")
-    common(p, budget=True)
-    p.add_argument("--from", dest="from_state", default=None)
-    p.add_argument("--to", dest="to_state", required=True)
-    p.add_argument("--x", type=_nonnegative, required=True)
-
-    p = sub.add_parser("vass1-semilinear", help="semilinear box-reachability set")
-    common(p, budget=True)
-    p.add_argument("--to", dest="to_state", required=True)
-    p.add_argument("--b-lps", dest="b_lps", type=_positive, default=None)
-
+    commands = (_decide_box, _decide_reach, _threshold, _seed, _steinitz, _witness,
+                _lift, _verify_window, _vass1_decide, _vass1_semilinear)
+    for command in commands:
+        p = sub.add_parser(command.name, help=command.purpose)
+        for names, options in command.flags:
+            p.add_argument(*names, **options)
+        p.set_defaults(run=command.run)
     return parser
-
-
-def _dispatch(args) -> dict:
-    cmd = args.command
-    if cmd == "decide-box":
-        vas = _require_vas(_load_instance(args.instance))
-        target = _parse_vector(args.target)
-        decision, bundle = decide_box_reach(vas, target, args.node_budget)
-        result = {"decision": decision}
-        if bundle is not None:
-            result["witness"] = list(bundle.path.indices)
-        return result
-
-    if cmd == "decide-reach":
-        vas = _require_vas(_load_instance(args.instance))
-        target = _parse_vector(args.target)
-        cap = _parse_vector(args.cap)
-        decision, bundle = decide_reach_capped(
-            vas, target, cap, args.node_budget, want_witness=args.witness
-        )
-        result = {"decision": decision}
-        if bundle is not None:
-            result["witness"] = list(bundle.path.indices)
-        return result
-
-    if cmd == "threshold":
-        vas = _require_vas(_load_instance(args.instance))
-        m = DeepConstant(args.m, "configured") if args.m is not None else None
-        report = compute_threshold(vas, m)
-        result = {
-            "w": report.w,
-            "case": report.case_tag.value,
-            "m": report.m_used.value,
-            "m_provenance": report.m_used.provenance,
-            "formula": report.formula_trace,
-            "degenerate": report.degenerate,
-        }
-        if args.validate_radius is not None:
-            scan = ditc_falsification_scan(vas, report.m_used, args.validate_radius)
-            result["scan"] = {
-                "radius": scan.radius,
-                "deep_lattice_points": scan.deep_lattice_points,
-                "counterexamples": [list(v) for v in scan.counterexamples],
-                "undecided": [list(v) for v in scan.undecided],
-            }
-        return result
-
-    if cmd == "seed":
-        vas = _require_vas(_load_instance(args.instance))
-        seed = compute_seed(vas)
-        return {
-            "s": list(seed.s),
-            "s_pos": list(seed.s_pos),
-            "witness": list(seed.witness.indices),
-            "repeat": seed.repeat,
-        }
-
-    if cmd == "steinitz":
-        vectors = _parse_vector_list(args.vectors)
-        result = steinitz_reorder(vectors)
-        return {
-            "permutation": list(result.permutation),
-            "corridor_bound": result.corridor_bound,
-            "verified": result.verified,
-        }
-
-    if cmd == "witness":
-        vas = _require_vas(_load_instance(args.instance))
-        target = _parse_vector(args.target)
-        values = _parse_vector(args.values)
-        m = DeepConstant(args.m, "configured") if args.m is not None else None
-        if args.evidence == "coeffs":
-            bundle = synthesize_box_witness(vas, target, coefficients=values, m=m)
-        else:
-            bundle = synthesize_box_witness(vas, target, path=values, m=m)
-        result = {
-            "method": bundle.method.value,
-            "witness": list(bundle.path.indices),
-            "length": len(bundle.path),
-            "length_lower_bound": witness_length_lower_bound(vas, bundle.target),
-        }
-        if bundle.rho_source is not None:
-            result["rho_source"] = bundle.rho_source
-        return result
-
-    if cmd == "lift":
-        vas = _require_vas(_load_instance(args.instance))
-        lifted = lift_vas(vas)
-        result = {
-            "dim": lifted.system.dim,
-            "generators": [list(g) for g in lifted.system.generators],
-            "instance": serialize_instance(
-                InstanceFile(kind="vas", vas=lifted.system)
-            ),
-        }
-        if args.target is not None:
-            from .lift import decide_box_via_lift
-
-            result["decision"] = decide_box_via_lift(
-                vas, _parse_vector(args.target), args.node_budget
-            )
-        return result
-
-    if cmd == "verify-window":
-        vas = _require_vas(_load_instance(args.instance))
-        report = verify_window(
-            vas,
-            _parse_vector(args.lo),
-            _parse_vector(args.size),
-            cap_margin=args.margin,
-            node_budget=args.node_budget,
-        )
-        return {
-            "checked": report.checked,
-            "violations": [list(t) for t in report.violations],
-            "skipped": [list(t) for t in report.skipped],
-            "cap_margin": report.cap_margin,
-        }
-
-    if cmd == "vass1-decide":
-        inst = _load_instance(args.instance)
-        q0 = args.from_state if args.from_state is not None else inst.init_state
-        decision, witness = vass1_box_decide(
-            _require_vass1(inst), q0, args.to_state, args.x, args.node_budget
-        )
-        result = {"decision": decision}
-        if witness is not None:
-            result["witness"] = witness
-        return result
-
-    if cmd == "vass1-semilinear":
-        inst = _load_instance(args.instance)
-        semi, bounds = build_semilinear(
-            _require_vass1(inst),
-            inst.init_state,
-            args.to_state,
-            b_lps=args.b_lps,
-            node_budget=args.node_budget,
-        )
-        return {
-            "explicit": sorted(semi.explicit),
-            "components": [
-                {"base": base, "periods": list(periods)}
-                for base, periods in semi.components
-            ],
-            "partial": semi.partial,
-            "bounds": {
-                "b_lps": bounds.b_lps,
-                "b_lps_provenance": (
-                    "heuristic" if args.b_lps is None else "configured"
-                ),
-                "maxover": bounds.maxover,
-                "theta_len_bound": bounds.theta_len_bound,
-                "p3": bounds.p3,
-            },
-        }
-
-    raise InvalidInputError(f"unknown command {cmd!r}")
-
-
-def _summary(result: dict) -> str:
-    if "decision" in result:
-        extra = ""
-        if "witness" in result:
-            extra = f" (witness length {len(result['witness'])})"
-        return f"decision: {str(result['decision']).lower()}{extra}"
-    if "w" in result:
-        return f"W = {result['w']} [{result['case']}]"
-    if "permutation" in result:
-        return f"permutation of {len(result['permutation'])} vectors, bound {result['corridor_bound']}"
-    if "method" in result:
-        return (
-            f"witness via {result['method']}, length {result['length']} "
-            f"(lower bound {result['length_lower_bound']})"
-        )
-    if "violations" in result:
-        return f"checked {result['checked']}, violations {len(result['violations'])}"
-    if "explicit" in result:
-        return (
-            f"{len(result['explicit'])} explicit values, "
-            f"{len(result['components'])} linear components"
-        )
-    if "s_pos" in result:
-        return f"seed s_pos = {tuple(result['s_pos'])}"
-    if "generators" in result:
-        return f"lifted to dimension {result['dim']}"
-    return "ok"
 
 
 def _attach_negative_values(argv: Sequence[str]) -> list[str]:
@@ -370,12 +349,8 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     started = time.monotonic()
-    warnings: list[str] = []
-    if getattr(args, "threads", 1) != 1:
-        warnings.append("--threads is accepted but execution is single-threaded")
     try:
-        result = _dispatch(args)
-        code = EXIT_OK
+        result, summary = args.run(args)
     except InvalidInputError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
@@ -393,11 +368,11 @@ def run_command(argv: Sequence[str]) -> int:
         "result": result,
         "timing_ms": round((time.monotonic() - started) * 1000, 3),
         "budget": {"node_budget": getattr(args, "node_budget", None)},
-        "warnings": warnings,
+        "warnings": [],
     }
     print(json.dumps(envelope, sort_keys=True))
-    print(_summary(result), file=sys.stderr)
-    return code
+    print(summary, file=sys.stderr)
+    return EXIT_OK
 
 
 def main() -> None:

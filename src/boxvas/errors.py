@@ -7,7 +7,9 @@ class BoxVasError(Exception):
 
 class InvalidInputError(BoxVasError, ValueError):
     """A system, target or constant is malformed: a wrong arity, a negative
-    entry, a duplicate or unknown state name."""
+    entry, a duplicate or unknown state name.  An unknown state passed to a
+    command (``--from``, ``--to``) is checked by ``Vass1System.check_state``
+    instead, so it is a ``PreconditionError``, exit 3."""
 
 
 class MalformedPathError(InvalidInputError):

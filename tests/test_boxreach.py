@@ -77,6 +77,18 @@ def test_budget_exhaustion(ex1):
         decide_reach_capped(ex1, (10**6, 10**6), (10**6, 10**6))
 
 
+def test_zero_target_is_answered_without_a_table(ex1):
+    # the cap's grid is far over the budget, but the empty path reaches 0
+    cap = (100_000, 100_000)
+    assert decide_reach_capped(ex1, (0, 0), cap) == (True, None)
+    ok, bundle = decide_reach_capped(ex1, (0, 0), cap, want_witness=True)
+    assert ok and len(bundle.path) == 0
+    assert bundle.method is WitnessMethod.BFS_SEARCH
+    for want_witness in (False, True):
+        with pytest.raises(ResourceBudgetError):
+            decide_reach_capped(ex1, (0, 1), cap, want_witness=want_witness)
+
+
 def test_threshold_example1(ex1):
     report = compute_threshold(ex1)
     assert report.case_tag is ThresholdCase.CONTAINS_QUADRANT

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from boxvas import (
     parse_instance,
     serialize_instance,
 )
-from boxvas import cli, errors
+from boxvas import cli, core, errors
 from boxvas.cli import run_command
 
 from conftest import EX1_GENS, random_vas
@@ -432,13 +434,50 @@ def test_cli_parser_shares_nothing_between_calls(ex1_file, capsys):
         assert env["result"]["witness"] == [2, 0, 1, 2]
 
 
-def test_cli_threads_warning(ex1_file, capsys):
-    code, env, _ = run_json(
-        capsys,
-        ["decide-box", "--instance", ex1_file, "--target", "0,0", "--threads", "4"],
-    )
-    assert code == 0
-    assert any("single-threaded" in w for w in env["warnings"])
+def test_cli_threads_is_a_usage_error(ex1_file, capsys):
+    argv = ["decide-box", "--instance", ex1_file, "--target", "0,0"]
+    code, env, err = run_json(capsys, argv + ["--threads", "4"])
+    assert (code, env) == (2, None)
+    assert "--threads" in err
+    code, env, _ = run_json(capsys, argv)
+    assert (code, env["warnings"]) == (0, [])
+
+
+# every subcommand's stderr line; EX1 and VASS1 stand for the fixture files
+SUMMARIES = [
+    (["decide-box", "--instance", "EX1", "--target", "21,21"],
+     "decision: true (witness length 4)"),
+    (["decide-box", "--instance", "EX1", "--target", "11,11"], "decision: false"),
+    (["decide-reach", "--instance", "EX1", "--target", "11,11", "--cap", "12,12"],
+     "decision: true"),
+    (["decide-reach", "--instance", "EX1", "--target", "11,11", "--cap", "12,12",
+      "--witness"], "decision: true (witness length 3)"),
+    (["threshold", "--instance", "EX1"], "W = 702464 [contains-quadrant]"),
+    (["seed", "--instance", "EX1"], "seed s_pos = (560, 560)"),
+    (["steinitz", "--vectors", "1,1;-1,0;0,2"], "permutation of 3 vectors, bound 4"),
+    (["witness", "--instance", "EX1", "--target", "702464,702464",
+      "--evidence", "coeffs", "--values", "4,4,70246"],
+     "witness via proof-case-1, length 70254 (lower bound 70247)"),
+    (["lift", "--instance", "EX1"], "lifted to dimension 4"),
+    (["lift", "--instance", "EX1", "--target", "21,21"], "decision: true"),
+    (["verify-window", "--instance", "EX1", "--lo", "11,11", "--size", "1,1"],
+     "checked 4, violations 2"),
+    (["vass1-decide", "--instance", "VASS1", "--to", "q", "--x", "2"],
+     "decision: true (witness length 1)"),
+    (["vass1-decide", "--instance", "VASS1", "--to", "p", "--x", "3"],
+     "decision: false"),
+    (["vass1-semilinear", "--instance", "VASS1", "--to", "q"],
+     "2415 explicit values, 78 linear components"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, summary", SUMMARIES, ids=[" ".join(a[:1] + a[3:]) for a, _ in SUMMARIES]
+)
+def test_cli_summary_line(ex1_file, vass1_file, capsys, argv, summary):
+    files = {"EX1": ex1_file, "VASS1": vass1_file}
+    code, _, err = run_json(capsys, [files.get(a, a) for a in argv])
+    assert (code, err) == (0, summary + "\n")
 
 
 def test_cli_json_stable(ex1_file, capsys):
@@ -448,3 +487,16 @@ def test_cli_json_stable(ex1_file, capsys):
     assert set(env) == {"command", "result", "timing_ms", "budget", "warnings"}
     dumped = json.dumps(env, sort_keys=True)
     assert json.loads(dumped) == env
+
+
+def test_tracing_call_sites_resolve():
+    # Tracer.install patches each (module, attribute) of perfbench/tracing.py,
+    # so a renamed or dropped name would break a traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _, _ in tracing.CALL_SITES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+    assert isinstance(core.PathRecord.__dict__["record"], classmethod)
