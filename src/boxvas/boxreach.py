@@ -191,8 +191,9 @@ def decide_reach_capped(
     if not all(x <= y for x, y in zip(t, c)):
         raise PreconditionError(f"target {t} exceeds cap {c}")
     if not any(t):
-        bundle = _bundle(vas, [], t, WitnessMethod.BFS_SEARCH, cap=c) if want_witness else None
-        return True, bundle
+        if want_witness:
+            return True, _bundle(vas, [], t, WitnessMethod.BFS_SEARCH, cap=c)
+        return True, None
     if want_witness:
         padded = bfs_padding(vas.generators, c)[1]
         check_cells("padded grid", grid_cells(padded), node_budget)
