@@ -18,8 +18,9 @@ operations whatever ``--seeds`` says (``sweep_ops``): ``threshold`` and
 ``witness`` at W on one-dimensional systems, ``vass1-decide`` on small
 random 1-VASS, the deciders and ``verify-window`` on systems whose
 lattice has index > 1, with targets on and off the lattice, scans and
-integer-cone ``witness`` answers on 4-generator cones and planes, and
-``decide-reach`` at target 0 under a cap over the node budget.
+integer-cone ``witness`` answers on 4-generator cones and planes,
+``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
+and ``vass1-semilinear`` on the zigzag fixture and on small random 1-VASS.
 
 Each worker runs under a 1 GiB address-space limit, and an operation that
 raises instead of returning an exit code is recorded as that exception, so
@@ -94,8 +95,15 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     extremals to at least W in both coordinates), and the plane evidence
     adds a million cancelling copies of u and -u to p.
 
-    Last of all, ``decide-reach`` asks for target 0 on ex1 under a cap of
-    100,000^2 cells, with and without ``--witness``.
+    Then ``decide-reach`` asks for target 0 on ex1 under a cap of
+    100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
+    it under a node budget of 0 and of 1.
+
+    Last of all, ``vass1-semilinear`` builds the zigzag fixture's set at
+    ``--b-lps`` 8, 32, 64 and the default (which exhausts the default
+    budget), and at ``--b-lps`` 32 under 452,240 budget units, exactly what
+    it needs, and one fewer; then the set of 20 random 1-VASS at
+    ``--b-lps`` 3 to 7.
     """
     sys.path.insert(0, str(perfbench))
     import workloads as wl
@@ -218,6 +226,27 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             "--target", "0,0", "--cap", "100000,100000"]
     add("ex1 decide-reach 0 over-budget cap", zero)
     add("ex1 decide-reach --witness 0 over-budget cap", zero + ["--witness"])
+    for budget in ("0", "1"):
+        add(f"ex1 lift 0 budget {budget}", ["lift", "--instance", zero[2],
+                                            "--target", "0,0", "--node-budget", budget])
+
+    zstates, ztrans = wl.zigzag()
+    zig = files.vass1(zstates, "0", ztrans)
+    semilinear = ["vass1-semilinear", "--instance", zig, "--to", "8"]
+    for b in ("8", "32", "64"):
+        add(f"zigzag semilinear b-lps {b}", semilinear + ["--b-lps", b])
+    add("zigzag semilinear default b-lps", semilinear)
+    for budget in ("452240", "452239"):
+        add(f"zigzag semilinear b-lps 32 budget {budget}",
+            semilinear + ["--b-lps", "32", "--node-budget", budget])
+    for n in range(20):
+        states = [f"s{i}" for i in range(rng.randint(1, 3))]
+        trans = [(rng.choice(states), rng.randint(-3, 3), rng.choice(states))
+                 for _ in range(rng.randint(1, 5))]
+        b = rng.randint(3, 7)
+        add(f"vass1-semilinear #{n} b-lps {b}",
+            ["vass1-semilinear", "--instance", files.vass1(states, states[0], trans),
+             "--to", rng.choice(states), "--b-lps", str(b)])
     return ops
 
 

@@ -62,9 +62,12 @@ def decide_box_via_lift(
     """Box-reachability decided through the lifted system.
 
     Independent of the direct grid deciders, so the two can differentially
-    test each other.
+    test each other.  The empty path reaches the target 0, which is
+    answered true without a table.
     """
     t = check_target(target, vas.dim)
+    if not any(t):
+        return True
     lift = lift_vas(vas)
     cap = t + t
     bitmap = reachable_bitmap(lift.system.generators, cap, node_budget)
@@ -83,8 +86,11 @@ def box_witness_via_lift(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[int] | None:
     """A box-reaching witness for the original system obtained by searching
-    the lifted one and projecting out the pump steps; re-verified."""
+    the lifted one and projecting out the pump steps; re-verified.  The
+    target 0 gets the empty path without a table."""
     t = check_target(target, vas.dim)
+    if not any(t):
+        return []
     lift = lift_vas(vas)
     cap = t + t
     path = bfs_grid(lift.system.generators, cap, lifted_target(vas, t), node_budget)

@@ -122,7 +122,6 @@ def steinitz_reorder(vectors: Sequence[Sequence[int]]) -> SteinitzResult:
     if any(len(v) != d for v in vecs):
         raise PreconditionError("all vectors must have the same arity")
     k = len(vecs)
-    total = tuple(sum(v[c] for v in vecs) for c in range(d))
     bound = d * max(inf_norm(v) for v in vecs)
 
     active = set(range(k))

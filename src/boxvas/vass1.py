@@ -13,8 +13,9 @@ configuration is reachable, and ``vass1_box_decide`` runs the one BFS
 kernel, ``_search.flat_bfs``, on the same layout between sentinel rows
 below 0 and above x.  The BFS table and the explicit sweep of
 ``build_semilinear`` are refused by ``_search.check_cells``, the one
-node-budget refusal, before they are allocated.  ``Vass1System.walk`` is the one path check: a single pass
-giving the end states, effect, drop and peak of a path.
+node-budget refusal, before they are allocated.  ``Vass1System.walk`` is
+the one path check: a single pass giving the end states, effect, drop and
+peak of a path.
 
 The semilinear builder follows the path-scheme characterization: every
 box-reachable value beyond an explicit bound p3 is the effect of a pumped
@@ -25,13 +26,17 @@ representative path per profile: two parts with the same profile yield
 identical linear components, so this preserves the emitted union while
 keeping the search tractable.  The closing-suffix effects of every start
 state come from one table of the reversed system, started at the target
-state.  Every emitted component, like every BFS witness, is verified by
-walking an actual path (``_is_box_run``) before it is admitted.
+state.  The least base per (period, residue) is found without pairing
+every scheme with every closing suffix: the scheme's effect before theta
+does not depend on theta, so its least value per residue is kept for each
+(suffix state, period, overshoot) and paired once with the least suffix
+effect of each residue.  Every emitted component, like every BFS witness,
+is verified by walking an actual path (``_is_box_run``) before it is
+admitted.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -319,8 +324,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self) -> None:
-        self.used += 1
+    def spend(self, units: int = 1) -> None:
+        self.used += units
         if self.used > self.limit:
             err = ResourceBudgetError(
                 f"scheme enumeration exceeded the budget {self.limit}", self.limit
@@ -371,6 +376,79 @@ def _simple_cycles_from(
                 stack.append((d, seen | {d}) + step)
 
 
+def _combination_units(
+    alpha_front: list[dict], beta_front: list[list], gamma_front: list[dict]
+) -> int:
+    """The combination's charge: one unit per (beta, alpha, gamma front
+    entry, residue of beta's effect) with alpha's effect covering beta's
+    drop, which is what a loop over every residue of the period would
+    spend."""
+    units = 0
+    for s, betas in enumerate(beta_front):
+        n_gamma = sum(map(len, gamma_front[s].values()))
+        for eff_b, drop_b, _, _ in betas:
+            n_alpha = sum(1 for eff_a in alpha_front[s] if eff_a >= drop_b)
+            units += eff_b * n_alpha * n_gamma
+    return units
+
+
+def _least_bases(
+    alpha_front: list[dict],
+    beta_front: list[list],
+    gamma_front: list[dict],
+    theta_effs: list[list[int]],
+) -> dict[tuple[int, int], tuple]:
+    """Per (period eff_b, residue of the base): the least base of a scheme
+    alpha beta^k gamma theta, as (base, alpha, beta, gamma, k, e, suffix
+    state), with k the least admissible count and e the closing effect.
+
+    With the least k the scheme before theta has effect c = max(A, L) +
+    eff_g: A = eff_a + (peak_a + 1) * eff_b keeps the counter above
+    alpha's peak, and L, the least value >= drop_g congruent to eff_a
+    modulo eff_b, lets gamma start.  Alpha enters only through A and eff_a
+    mod eff_b, and c does not depend on theta.  So per (suffix state,
+    period, overshoot) the least c of each residue is kept, and then paired
+    with the least e >= overshoot of each residue of ``theta_effs``."""
+    least_c: dict[tuple[int, int, int], dict[int, tuple]] = {}
+    for s, betas in enumerate(beta_front):
+        for eff_b, drop_b, peak_b, beta in betas:
+            least_a: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+            for eff_a, (peak_a, alpha) in alpha_front[s].items():
+                if eff_a < drop_b:
+                    continue  # the first cycle iteration would go negative
+                a = eff_a + (peak_a + 1) * eff_b
+                cur = least_a.get(eff_a % eff_b)
+                if cur is None or a < cur[0]:
+                    least_a[eff_a % eff_b] = (a, eff_a, alpha)
+            if not least_a:
+                continue
+            for (s_g, eff_g), gfront in gamma_front[s].items():
+                for _, drop_g, peak_g, gamma in gfront:
+                    over = _overshoot(eff_b, peak_b, eff_g, peak_g)
+                    table = least_c.setdefault((s_g, eff_b, over), {})
+                    for rho, (a, eff_a, alpha) in least_a.items():
+                        low = drop_g + (rho - drop_g) % eff_b
+                        c = (a if a > low else low) + eff_g
+                        cur = table.get(c % eff_b)
+                        if cur is None or c < cur[0]:
+                            k = (c - eff_g - eff_a) // eff_b
+                            table[c % eff_b] = (c, alpha, beta, gamma, k)
+
+    best: dict[tuple[int, int], tuple] = {}
+    for (s_g, eff_b, over), table in least_c.items():
+        least_e: dict[int, int] = {}
+        for e in theta_effs[s_g]:  # ascending
+            if e >= over and e % eff_b not in least_e:
+                least_e[e % eff_b] = e
+        for c, alpha, beta, gamma, k in table.values():
+            for e in least_e.values():
+                key = (eff_b, (c + e) % eff_b)
+                cur = best.get(key)
+                if cur is None or c + e < cur[0]:
+                    best[key] = (c + e, alpha, beta, gamma, k, e, s_g)
+    return best
+
+
 def build_semilinear(
     sys: Vass1System,
     q0: str,
@@ -383,8 +461,11 @@ def build_semilinear(
     (scheme profile, closing-suffix effect) pair.
 
     Parts are deduplicated by profile; each emitted component is verified by
-    walking its smallest induced path.  Exhausting the combinatorial budget,
-    or an explicit sweep table over ``node_budget`` cells, raises a resource
+    walking its smallest induced path.  ``node_budget`` bounds the explicit
+    sweep table in cells and, separately, the scheme enumeration in units:
+    one per enumerated path and cycle power, and one per (alpha, beta,
+    gamma front entry, residue of beta's effect) combination, all of which
+    are counted before the sweeps run.  Exceeding either raises a resource
     error whose ``partial_result`` is an empty set marked partial.
     """
     sys.check_state(q0)
@@ -447,6 +528,21 @@ def build_semilinear(
         check_cells("explicit sweep table", (bounds.p3 + 1) * nq, node_budget)
     except ResourceBudgetError as err:
         raise _partial(err)
+
+    # Union-preserving reductions for the combination: a part profile
+    # dominated in (drop, peak) at the same effect only yields components
+    # covered by the dominating one, and per (period, residue) only the
+    # minimal base matters.
+    beta_front = [_pareto2(profs) for profs in betas]
+    gamma_front: list[dict[tuple[int, int], list]] = []
+    for profs in gammas:
+        grouped: dict[tuple[int, int], dict[tuple[int, int, int], tuple]] = {}
+        for (s_g, eff_g, drop_g, peak_g), rep in profs.items():
+            grouped.setdefault((s_g, eff_g), {})[(eff_g, drop_g, peak_g)] = rep
+        gamma_front.append({key: _pareto2(g) for key, g in grouped.items()})
+
+    budget.spend(_combination_units(alpha_front, beta_front, gamma_front))
+
     explicit = _box_values(
         vass1_min_ceilings(sys, q0, bounds.p3), nq, sys.index[q_target]
     )
@@ -459,53 +555,7 @@ def build_semilinear(
     back = vass1_min_ceilings(sys.reversed(), q_target, e_max)
     theta_effs = [_box_values(back, nq, s) for s in range(nq)]
 
-    # Union-preserving reductions for the combination loop: a part
-    # profile dominated in (drop, peak) at the same effect only yields
-    # components covered by the dominating one, and per (period,
-    # residue) only the minimal base matters.
-    beta_front = [_pareto2(profs) for profs in betas]
-    gamma_front: list[dict[tuple[int, int], list]] = []
-    for profs in gammas:
-        grouped: dict[tuple[int, int], dict[tuple[int, int, int], tuple]] = {}
-        for (s_g, eff_g, drop_g, peak_g), rep in profs.items():
-            grouped.setdefault((s_g, eff_g), {})[(eff_g, drop_g, peak_g)] = rep
-        gamma_front.append({key: _pareto2(g) for key, g in grouped.items()})
-
-    # per (start state, period): residue-indexed sorted suffix effects
-    eff_by_residue: dict[tuple[int, int], list[list[int]]] = {}
-
-    best: dict[tuple[int, int], tuple[int, tuple, tuple, tuple, int, int, int]] = {}
-    for s in range(nq):
-        for eff_b, drop_b, peak_b, beta in beta_front[s]:
-            for eff_a, (peak_a, alpha) in alpha_front[s].items():
-                if eff_a < drop_b:
-                    continue  # the first cycle iteration would go negative
-                for (s_g, eff_g), gfront in gamma_front[s].items():
-                    for _, drop_g, peak_g, gamma in gfront:
-                        over = _overshoot(eff_b, peak_b, eff_g, peak_g)
-                        key = (s_g, eff_b)
-                        if key not in eff_by_residue:
-                            lists: list[list[int]] = [[] for _ in range(eff_b)]
-                            for e in theta_effs[s_g]:
-                                lists[e % eff_b].append(e)
-                            eff_by_residue[key] = lists
-                        k_min0 = peak_a + 1
-                        for elist in eff_by_residue[key]:
-                            budget.spend()
-                            pos = bisect_left(elist, over)
-                            if pos == len(elist):
-                                continue
-                            e = elist[pos]
-                            k_min = k_min0
-                            need = drop_g - eff_a
-                            if need > k_min * eff_b:
-                                k_min = -(-need // eff_b)
-                            base = eff_a + k_min * eff_b + eff_g + e
-                            ckey = (eff_b, base % eff_b)
-                            cur = best.get(ckey)
-                            if cur is None or base < cur[0]:
-                                best[ckey] = (base, alpha, beta, gamma, k_min, e, s_g)
-
+    best = _least_bases(alpha_front, beta_front, gamma_front, theta_effs)
     components: dict[tuple[int, int], None] = {}
     theta_paths: dict[tuple[int, int], list[int]] = {}
     for (eff_b, _), (base, alpha, beta, gamma, k_min, e, s_g) in best.items():

@@ -407,6 +407,16 @@ def test_cli_node_budget_only_where_an_engine_reads_it(ex1_file, capsys):
     assert (code, env["budget"]) == (0, {"node_budget": 5})
 
 
+def test_cli_zero_target_needs_no_table(ex1_file, capsys):
+    # the empty path reaches 0, so no budget refuses it
+    for cmd, summary in (("decide-box", "decision: true (witness length 0)"),
+                         ("lift", "decision: true")):
+        argv = [cmd, "--instance", ex1_file, "--target", "0,0", "--node-budget", "0"]
+        code, env, err = run_json(capsys, argv)
+        assert (code, env["result"]["decision"]) == (0, True), cmd
+        assert err.strip() == summary, cmd
+
+
 def test_cli_witness_reports_length_lower_bound(ex1_file, capsys):
     code, env, err = run_json(
         capsys,

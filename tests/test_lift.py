@@ -96,3 +96,8 @@ def test_lift_witness_sound(seed, t):
     path = box_witness_via_lift(vas, t)
     if path is not None:
         assert effect(vas, path) == t
+
+
+def test_lift_zero_target_needs_no_table(ex1):
+    assert decide_box_via_lift(ex1, (0, 0), node_budget=0) is True
+    assert box_witness_via_lift(ex1, (0, 0), node_budget=0) == []

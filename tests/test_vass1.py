@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from bisect import bisect_left
 from collections import deque
 
 import pytest
@@ -17,7 +18,8 @@ from boxvas import (
     vass1_box_decide,
     vass1_min_ceilings,
 )
-from boxvas.vass1 import _box_values, _overshoot
+from boxvas import vass1
+from boxvas.vass1 import _box_values, _combination_units, _overshoot
 
 from conftest import zigzag_vass
 
@@ -320,3 +322,95 @@ def test_build_semilinear_fuzz(seed):
     for x in range(0, 50):
         direct = vass1_box_decide(sys, states[0], states[-1], x)[0]
         assert semilinear_member(s, x) == direct, (trans, x)
+
+
+def test_build_semilinear_budget_boundary():
+    # the enumeration and the combination charge 452,240 units in all
+    sys = zigzag_vass()
+    s, _ = build_semilinear(sys, "0", "8", b_lps=32, node_budget=452_240)
+    assert len(s.components) == 136
+    with pytest.raises(
+        ResourceBudgetError, match="scheme enumeration exceeded the budget 452239$"
+    ) as exc:
+        build_semilinear(sys, "0", "8", b_lps=32, node_budget=452_239)
+    assert exc.value.partial_result.partial
+
+
+def reference_least_bases(alpha_front, beta_front, gamma_front, theta_effs):
+    """The combination as one loop over (beta, alpha, gamma front entry,
+    residue of beta's effect), taking the least closing effect >= the
+    overshoot of each residue by bisection; one budget unit per residue
+    tried, which must be the charge ``_combination_units`` counts."""
+    eff_by_residue = {}
+    best = {}
+    units = 0
+    for s, betas in enumerate(beta_front):
+        for eff_b, drop_b, peak_b, beta in betas:
+            for eff_a, (peak_a, alpha) in alpha_front[s].items():
+                if eff_a < drop_b:
+                    continue
+                for (s_g, eff_g), gfront in gamma_front[s].items():
+                    for _, drop_g, peak_g, gamma in gfront:
+                        over = _overshoot(eff_b, peak_b, eff_g, peak_g)
+                        key = (s_g, eff_b)
+                        if key not in eff_by_residue:
+                            lists = [[] for _ in range(eff_b)]
+                            for e in theta_effs[s_g]:
+                                lists[e % eff_b].append(e)
+                            eff_by_residue[key] = lists
+                        for elist in eff_by_residue[key]:
+                            units += 1
+                            pos = bisect_left(elist, over)
+                            if pos == len(elist):
+                                continue
+                            e = elist[pos]
+                            k_min = peak_a + 1
+                            need = drop_g - eff_a
+                            if need > k_min * eff_b:
+                                k_min = -(-need // eff_b)
+                            base = eff_a + k_min * eff_b + eff_g + e
+                            ckey = (eff_b, base % eff_b)
+                            cur = best.get(ckey)
+                            if cur is None or base < cur[0]:
+                                best[ckey] = (base, alpha, beta, gamma, k_min, e, s_g)
+    assert units == _combination_units(alpha_front, beta_front, gamma_front)
+    return best
+
+
+def build_with_reference(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(vass1, "_least_bases", reference_least_bases)
+        return build_semilinear(*args, **kwargs)
+
+
+def test_folded_combination_matches_per_residue_loop_zigzag(monkeypatch):
+    sys = zigzag_vass()
+    for b_lps in range(4, 33):
+        expected = build_with_reference(monkeypatch, sys, "0", "8", b_lps=b_lps)
+        assert build_semilinear(sys, "0", "8", b_lps=b_lps) == expected, b_lps
+
+
+def test_folded_combination_matches_per_residue_loop_random(monkeypatch):
+    # the budget cuts off the few draws whose path enumeration runs to
+    # millions of paths; both sides must refuse those alike
+    rng = random.Random(1515)
+    answered = nonempty = 0
+    for _ in range(260):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+        trans = tuple(
+            (rng.choice(states), rng.randint(-3, 3), rng.choice(states))
+            for _ in range(rng.randint(1, 5))
+        )
+        sys = Vass1System(states, trans)
+        args = (sys, states[0], rng.choice(states))
+        kwargs = {"b_lps": rng.randint(3, 9), "node_budget": 50_000}
+        try:
+            expected = build_with_reference(monkeypatch, *args, **kwargs)
+        except ResourceBudgetError as err:
+            with pytest.raises(ResourceBudgetError, match=f"^{err}$"):
+                build_semilinear(*args, **kwargs)
+            continue
+        assert build_semilinear(*args, **kwargs) == expected, (trans, args, kwargs)
+        answered += 1
+        nonempty += bool(expected[0].components)
+    assert answered >= 200 and nonempty >= 50, (answered, nonempty)
