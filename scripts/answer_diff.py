@@ -15,9 +15,11 @@ one, 0 otherwise.  Like
 
 A fourth group, ``sweep``, runs what no workload does, the same fixed
 operations whatever ``--seeds`` says (``sweep_ops``): ``threshold`` and
-``witness`` at W on one-dimensional systems, ``vass1-decide`` on small
-random 1-VASS, the deciders and ``verify-window`` on systems whose
-lattice has index > 1, with targets on and off the lattice, scans and
+``witness`` at W on one-dimensional systems, ``threshold`` and ``seed``
+on cones inside the quadrant or meeting it along one axis ray,
+``vass1-decide`` on small random 1-VASS, the deciders and
+``verify-window`` on systems whose lattice has index > 1, with targets on
+and off the lattice, scans and
 integer-cone ``witness`` answers on 4-generator cones and planes,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
 and ``vass1-semilinear`` on the zigzag fixture and on small random 1-VASS.
@@ -74,8 +76,11 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     directions, mixed-sign lines, and systems (a, 0), (-b, 0), (-1, -1)
     that meet the quadrant along one axis ray.  On each nondegenerate one, ``witness``
     asks for the least target on the ray at or above W = 2 * norm^3, with
-    the evidence a multiple of one positive step.  ``vass1-decide`` runs on
-    random 1-VASS with x <= 60.
+    the evidence a multiple of one positive step.  ``threshold`` (with the
+    default M and with ``--m 0``) and ``seed`` run on cones inside the
+    quadrant and on the proper cones (1, 0), (-1, -1); (1, 0), (-1, -2)
+    and (0, 1), (-1, -1), which meet it along one axis ray.
+    ``vass1-decide`` runs on random 1-VASS with x <= 60.
 
     The deciders run on random 1-, 2- and 3-D systems with one coordinate of
     every generator scaled by 2 or 3, so their lattice has index > 1.  Each
@@ -140,6 +145,13 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
         for b in range(1, 6):
             gens = [(a, 0), (-b, 0), (-1, -1)]
             one_dim(f"axis ({a},0),(-{b},0)", gens, [a, -b, 0], a + b, (1, 0))
+    for gens in ([(1, 0), (0, 1)], [(2, 1), (1, 3)], [(0, 2), (5, 0), (1, 1)],
+                 [(1, 0), (-1, -1)], [(1, 0), (-1, -2)], [(0, 1), (-1, -1)]):
+        path = files.vas(gens)
+        for m in ([], ["--m", "0"]):
+            add(" ".join([f"quadrant {gens} threshold", *m]),
+                ["threshold", "--instance", path, *m])
+        add(f"quadrant {gens} seed", ["seed", "--instance", path])
     for n in range(60):
         states = [f"s{i}" for i in range(rng.randint(1, 3))]
         trans = [(rng.choice(states), rng.randint(-4, 4), rng.choice(states))

@@ -57,7 +57,8 @@ from .geometry import (
     Membership,
     QuadrantRelation,
     _LatticeSolver,
-    _primitive,
+    _extremal_facet,
+    _on_line,
     _require_dim2,
     compute_seed,
     cone_from_generators,
@@ -210,29 +211,6 @@ def decide_reach_capped(
     return bitmap_has(bitmap, c, t), None
 
 
-def _one_dim_steps(vas: VasSystem) -> list[int] | None:
-    """Project a 1-dimensional (or collinear 2-D) system to scalar steps;
-    None when the generators span two directions."""
-    if vas.dim == 1:
-        return [g[0] for g in vas.generators]
-    if vas.dim != 2:
-        return None
-    nonzero = [g for g in vas.generators if any(g)]
-    if not nonzero:
-        return [0 for _ in vas.generators]
-    d = _primitive(nonzero[0])
-    if d[0] < 0 or (d[0] == 0 and d[1] < 0):
-        d = (-d[0], -d[1])
-    for g in nonzero:
-        p = _primitive(g)
-        if p != d and p != (-d[0], -d[1]):
-            return None
-    if d[0] < 0 or d[1] < 0:
-        return []  # mixed-sign direction: no step fires, only 0 is reachable
-    coord = 0 if d[0] != 0 else 1
-    return [g[coord] for g in vas.generators]
-
-
 def one_vas_threshold(vas: VasSystem) -> OneVasThreshold:
     """The bound M1 = 2*norm^3 above which reachability equals
     box-reachability for a one-dimensional system.
@@ -245,11 +223,32 @@ def one_vas_threshold(vas: VasSystem) -> OneVasThreshold:
     [0, max(k, N + P - 1)], where N and P are the largest negative and
     positive step sizes, and N + P <= norm.
     """
-    steps = _one_dim_steps(vas)
-    if steps is None:
-        raise PreconditionError(
-            "system is not one-dimensional (generators span two directions)"
-        )
+    if vas.dim == 1:
+        return _m1(vas, [g[0] for g in vas.generators])
+    if vas.dim == 2:
+        cone = cone_from_generators(vas)
+        if cone.kind in (ConeKind.ZERO_ONLY, ConeKind.RAY, ConeKind.LINE):
+            return _m1(vas, _line_steps(vas, cone))
+    raise PreconditionError(
+        "system is not one-dimensional (generators span two directions)"
+    )
+
+
+def _line_steps(vas: VasSystem, cone: ConeData) -> list[int]:
+    """The steps of a collinear 2-VAS: the entries of the generators on its
+    line in the first nonzero coordinate of the line's ray inside the
+    quadrant, or none when no ray of the line lies there."""
+    chis = (cone.chi1, cone.chi2)
+    ray = next((d for d in chis if d is not None and min(d) >= 0), None)
+    if ray is None:
+        return []
+    k = 0 if ray[0] else 1
+    return [vas.generators[i][k] for i in _on_line(vas.generators, ray)]
+
+
+def _m1(vas: VasSystem, steps: Sequence[int]) -> OneVasThreshold:
+    """M1 = 2*norm^3 with the least positive step, or degenerate when no
+    step is positive."""
     positive = [a for a in steps if a > 0]
     if not positive:
         return OneVasThreshold(m1=0, min_step=0, degenerate=True)
@@ -259,8 +258,17 @@ def one_vas_threshold(vas: VasSystem) -> OneVasThreshold:
 def compute_threshold(
     vas: VasSystem, m: DeepConstant | None = None
 ) -> ThresholdReport:
-    """The threshold W for a 2-VAS, dispatching on the cone/quadrant shape,
-    or for one counter, where it is M1."""
+    """The threshold W for a 2-VAS, dispatching on how its cone meets the
+    quadrant (``ConeData.quadrant_relation``), or for one counter, where it
+    is M1."""
+    return _threshold(vas, m)[0]
+
+
+def _threshold(
+    vas: VasSystem, m: DeepConstant | None
+) -> tuple[ThresholdReport, ConeData | None]:
+    """``compute_threshold`` with the cone it classified (None when it
+    classified none), so that synthesis classifies the cone once."""
     if vas.dim != 1:
         _require_dim2(vas)
     m_used = m if m is not None else default_deep_constant(vas)
@@ -274,36 +282,28 @@ def compute_threshold(
             m_used,
             "no nonzero nonnegative generator; reach = {0}, W vacuous",
             degenerate=True,
-        )
+        ), None
     if vas.dim == 1:
-        return _m1_report(vas, m_used)
+        return _m1_report(one_vas_threshold(vas), m_used), None
     cone = cone_from_generators(vas)
-    if cone.quadrant_relation is QuadrantRelation.CONTAINED_IN_QUADRANT:
-        return ThresholdReport(
+    relation = cone.quadrant_relation
+    plane = cone.kind in (ConeKind.HALF_PLANE, ConeKind.FULL_PLANE)
+    if relation is QuadrantRelation.CONTAINED_IN_QUADRANT:
+        report = ThresholdReport(
             0,
             ThresholdCase.CONTAINED_IN_QUADRANT,
             m_used,
             "all generators nonnegative; W = 0",
         )
-    if cone.kind in (ConeKind.RAY, ConeKind.LINE):
-        # the nonzero nonnegative generator gives the projection a positive step
-        return _m1_report(vas, m_used)
-    # Cone and quadrant meet in the cone spanned by the extremals inside the
-    # quadrant and the unit axes inside the cone.  The nonzero nonnegative
-    # generator lies in that meet, so it is never {0}.
-    contact = {
-        _primitive(v)
-        for v in (cone.chi1, cone.chi2, (1, 0), (0, 1))
-        if v is not None
-        and min(v) >= 0
-        and all(dot(f, v) >= 0 for f in cone.facets)
-    }
-    if contact in ({(1, 0)}, {(0, 1)}):
-        return _axis_ray_threshold(vas, 0 if (1, 0) in contact else 1, m_used)
-    plane = cone.kind in (ConeKind.HALF_PLANE, ConeKind.FULL_PLANE)
-    if plane or cone.quadrant_relation is QuadrantRelation.CONTAINS_QUADRANT:
+    elif cone.kind in (ConeKind.RAY, ConeKind.LINE):
+        # the nonzero nonnegative generator gives the line a positive step
+        report = _m1_report(_m1(vas, _line_steps(vas, cone)), m_used)
+    elif relation in (QuadrantRelation.ALONG_X_AXIS, QuadrantRelation.ALONG_Y_AXIS):
+        axis = 0 if relation is QuadrantRelation.ALONG_X_AXIS else 1
+        report = _axis_ray_threshold(vas, axis, m_used)
+    elif plane or relation is QuadrantRelation.CONTAINS_QUADRANT:
         w = 16 * n**3 + m_used.value
-        return ThresholdReport(
+        report = ThresholdReport(
             w,
             ThresholdCase.HALF_OR_FULL_PLANE
             if plane
@@ -311,27 +311,28 @@ def compute_threshold(
             m_used,
             f"W = 16*norm^3 + M = 16*{n}^3 + {m_used.value} = {w}",
         )
-    if cone.quadrant_relation in (
+    elif relation in (
         QuadrantRelation.INTERSECTS_VIA_X_AXIS_SIDE,
         QuadrantRelation.INTERSECTS_VIA_Y_AXIS_SIDE,
     ):
         w = 16 * n**4 + 4 * n + n * m_used.value
-        return ThresholdReport(
+        report = ThresholdReport(
             w,
             ThresholdCase.INTERSECTS_QUADRANT,
             m_used,
             f"W = 16*norm^4 + 4*norm + norm*M = 16*{n}^4 + 4*{n} + "
             f"{n}*{m_used.value} = {w}",
         )
-    raise InternalCheckError(
-        f"unclassified cone shape {cone.kind.value} meeting the quadrant "
-        f"along {sorted(contact)}"
-    )
+    else:
+        raise InternalCheckError(
+            f"unclassified cone shape {cone.kind.value} meeting the quadrant "
+            f"as {relation.value}"
+        )
+    return report, cone
 
 
-def _m1_report(vas: VasSystem, m_used: DeepConstant) -> ThresholdReport:
+def _m1_report(one: OneVasThreshold, m_used: DeepConstant) -> ThresholdReport:
     """W = M1 for a one-counter or collinear system with a positive step."""
-    one = one_vas_threshold(vas)
     return ThresholdReport(
         one.m1,
         ThresholdCase.ONE_DIMENSIONAL,
@@ -347,22 +348,18 @@ def _axis_ray_threshold(
     quadrant only the steps along that axis fire, so they form a
     one-dimensional system, and W is its M1 (0 when every step is positive,
     since then any order of a multiset is box-reaching)."""
-    steps = [g[axis] for g in vas.generators if g[axis] and not g[1 - axis]]
+    unit = (1, 0) if axis == 0 else (0, 1)
+    steps = [vas.generators[i][axis] for i in _on_line(vas.generators, unit)]
     if min(steps) > 0:
-        return ThresholdReport(
-            0,
-            ThresholdCase.ONE_DIMENSIONAL,
-            m_used,
-            "cone meets the quadrant along one axis ray, where only positive "
-            "axis-parallel steps fire; reach = box-reach, W = 0",
-        )
-    one = one_vas_threshold(VasSystem(1, tuple((a,) for a in steps)))
+        w, where = 0, "only positive axis-parallel steps fire; reach = box-reach, W = 0"
+    else:
+        w = one_vas_threshold(VasSystem(1, tuple((a,) for a in steps))).m1
+        where = f"only the axis-parallel steps fire; W = M1 = {w}"
     return ThresholdReport(
-        one.m1,
+        w,
         ThresholdCase.ONE_DIMENSIONAL,
         m_used,
-        "cone meets the quadrant along one axis ray, where only the "
-        f"axis-parallel steps fire; W = M1 = {one.m1}",
+        f"cone meets the quadrant along one axis ray, where {where}",
     )
 
 
@@ -382,12 +379,7 @@ def _one_dim_witness(vas: VasSystem, t: Vector) -> WitnessBundle:
         kept: Sequence[int] = range(len(vas.generators))
         k = 0
     else:
-        ray = _primitive(t)
-        kept = [
-            i
-            for i, g in enumerate(vas.generators)
-            if any(g) and _primitive(g) in (ray, (-ray[0], -ray[1]))
-        ]
+        kept = _on_line(vas.generators, t)
         k = 0 if t[0] >= t[1] else 1
     path = bfs_grid([(vas.generators[i][k],) for i in kept], (t[k],), (t[k],))
     if path is None:
@@ -395,17 +387,6 @@ def _one_dim_witness(vas: VasSystem, t: Vector) -> WitnessBundle:
             "one-dimensional target above M1 was not box-reachable"
         )
     return _bundle(vas, [kept[i] for i in path], t, WitnessMethod.BFS_SEARCH)
-
-
-def _positive_facet(cone: ConeData) -> tuple[Vector, Vector]:
-    """(chi, facet) for the strictly positive extremal of an
-    intersects-quadrant cone."""
-    if cone.chi1 is None or cone.chi2 is None:
-        raise InternalCheckError("intersects-quadrant cone without extremals")
-    for chi, f in zip((cone.chi1, cone.chi2), cone.facets):
-        if chi[0] > 0 and chi[1] > 0:
-            return chi, f
-    raise InternalCheckError("no strictly positive extremal in intersect case")
 
 
 def synthesize_box_witness(
@@ -470,28 +451,22 @@ def synthesize_box_witness(
         for i in evidence.indices:
             counts[i] += 1
 
-    report = compute_threshold(vas, m)
+    report, cone = _threshold(vas, m)
     if report.degenerate:
         raise PreconditionError("degenerate system: threshold is vacuous")
-    if report.case_tag is ThresholdCase.ONE_DIMENSIONAL:
-        # the threshold constrains the value along the reachable ray, not
-        # both coordinates (an axis ray has one coordinate pinned to 0)
-        if max(t) < report.w:
-            raise PreconditionError(
-                f"target {t} is below the threshold W = {report.w}"
-            )
+    # in one dimension the threshold constrains the value along the
+    # reachable ray, not both coordinates (an axis ray pins one to 0)
+    one_dim = report.case_tag is ThresholdCase.ONE_DIMENSIONAL
+    if (max(t) if one_dim else min(t)) < report.w:
+        raise PreconditionError(f"target {t} is below the threshold W = {report.w}")
+    if one_dim:
         return _one_dim_witness(vas, t)
-    if t[0] < report.w or t[1] < report.w:
-        raise PreconditionError(
-            f"target {t} is below the threshold W = {report.w}"
-        )
 
     if report.case_tag is ThresholdCase.CONTAINED_IN_QUADRANT:
         # all generators nonnegative: any multiset order is box-reaching
         order = reorder_counts(vas, counts)
         return _bundle(vas, order, t, WitnessMethod.PROOF_CASE_1, "evidence")
 
-    cone = cone_from_generators(vas)
     seed = compute_seed(vas)
     theta = list(seed.pos_witness_indices())
     r = vec_sub(t, vec_scale(2, seed.s_pos))
@@ -525,22 +500,19 @@ def synthesize_box_witness(
             vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "integer-cone"
         )
 
-    if report.case_tag in (
-        ThresholdCase.CONTAINS_QUADRANT,
-        ThresholdCase.HALF_OR_FULL_PLANE,
-    ):
-        return case1()
-
-    # intersects-quadrant: deep residuals go through case 1, shallow ones
-    # consume facet-parallel steps of the evidence path
-    if is_m_deep(cone, r, report.m_used):
+    # the other cases, and deep intersects-quadrant residuals, go through
+    # case 1; shallow ones consume facet-parallel steps of the evidence path
+    intersects = report.case_tag is ThresholdCase.INTERSECTS_QUADRANT
+    if not intersects or is_m_deep(cone, r, report.m_used):
         return case1()
     if path is None:
         raise EvidenceError(
             "shallow intersects-quadrant target: an explicit evidence path "
             "is required (coefficients are not enough)"
         )
-    chi, f_pos = _positive_facet(cone)
+    f_pos = _extremal_facet(cone, 1)
+    if f_pos is None:
+        raise InternalCheckError("no strictly positive extremal in intersect case")
     need = 4 * vas.norm
     chosen: list[int] = []
     for i in path:

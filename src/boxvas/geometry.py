@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key, lru_cache
 from math import gcd
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     PathRecord,
@@ -58,6 +58,8 @@ class QuadrantRelation(Enum):
     CONTAINED_IN_QUADRANT = "contained-in-quadrant"
     INTERSECTS_VIA_X_AXIS_SIDE = "intersects-via-x-axis-side"
     INTERSECTS_VIA_Y_AXIS_SIDE = "intersects-via-y-axis-side"
+    ALONG_X_AXIS = "along-x-axis"
+    ALONG_Y_AXIS = "along-y-axis"
     OTHER = "other"
 
 
@@ -81,8 +83,9 @@ class DeepConstant:
 
 
 def default_deep_constant(vas: VasSystem) -> DeepConstant:
-    # 16 * norm^3: heuristic default, validated per instance by
-    # ditc_falsification_scan before it is trusted in threshold computations.
+    # 16 * norm^3: a heuristic, used unchecked and reported with provenance
+    # "default"; ditc_falsification_scan tests it only when asked to
+    # (threshold --validate-radius).
     return DeepConstant(16 * vas.norm**3, provenance="default")
 
 
@@ -154,6 +157,21 @@ def _primitive(v: Vector) -> Vector:
     return (v[0] // g, v[1] // g)
 
 
+def _on_line(generators: Sequence[Vector], d: Vector) -> list[int]:
+    """Indices of the nonzero generators parallel to the nonzero d, in
+    either direction."""
+    return [i for i, g in enumerate(generators) if any(g) and cross(g, d) == 0]
+
+
+def _extremal_facet(cone: ConeData, sign: int) -> Vector | None:
+    """The facet normal paired with an extremal whose entries both have the
+    sign of ``sign`` (1: strictly positive, -1: strictly negative), or None."""
+    for chi, f in zip((cone.chi1, cone.chi2), cone.facets):
+        if chi is not None and sign * chi[0] > 0 and sign * chi[1] > 0:
+            return f
+    return None
+
+
 def _angle_half(v: Vector) -> int:
     # 0 for angles in [0, 180), 1 for [180, 360)
     return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
@@ -193,17 +211,26 @@ def _quadrant_relation(
 ) -> QuadrantRelation:
     if all(g[0] >= 0 and g[1] >= 0 for g in nonzero):
         return QuadrantRelation.CONTAINED_IN_QUADRANT
-    if kind in (ConeKind.PROPER_CONE, ConeKind.HALF_PLANE, ConeKind.FULL_PLANE):
-        if all(f[0] >= 0 for f in facets) and all(f[1] >= 0 for f in facets):
-            # both unit axes satisfy every facet, so the quadrant is inside
-            return QuadrantRelation.CONTAINS_QUADRANT
-    if kind is ConeKind.PROPER_CONE:
-        if chi1 is None or chi2 is None:
-            raise InternalCheckError("proper cone without extremals")
-        if chi2[0] > 0 and chi2[1] > 0 and chi1[0] <= 0:
-            return QuadrantRelation.INTERSECTS_VIA_Y_AXIS_SIDE
-        if chi1[0] > 0 and chi1[1] > 0 and chi2[1] <= 0:
+    if kind not in (ConeKind.PROPER_CONE, ConeKind.HALF_PLANE, ConeKind.FULL_PLANE):
+        return QuadrantRelation.OTHER
+    # the cone meets the quadrant in the cone spanned by the extremals
+    # inside the quadrant and the unit axes inside the cone
+    contact = {
+        v
+        for v in (chi1, chi2, (1, 0), (0, 1))
+        if v is not None and min(v) >= 0 and all(dot(f, v) >= 0 for f in facets)
+    }
+    if {(1, 0), (0, 1)} <= contact:
+        return QuadrantRelation.CONTAINS_QUADRANT
+    if contact == {(1, 0)}:
+        return QuadrantRelation.ALONG_X_AXIS
+    if contact == {(0, 1)}:
+        return QuadrantRelation.ALONG_Y_AXIS
+    if kind is ConeKind.PROPER_CONE and len(contact) == 2:
+        # a strictly positive extremal, and the axis beside it in the cone
+        if (1, 0) in contact:
             return QuadrantRelation.INTERSECTS_VIA_X_AXIS_SIDE
+        return QuadrantRelation.INTERSECTS_VIA_Y_AXIS_SIDE
     return QuadrantRelation.OTHER
 
 
@@ -344,61 +371,42 @@ def is_m_deep(cone: ConeData, v: Sequence[int], m: "DeepConstant | int") -> bool
 # integer-cone membership
 
 
-def _least_per_residue(
-    weights: Sequence[int],
-    advance: Callable[[Hashable, int, int], Hashable],
-    start: Hashable,
-    target: Hashable,
-    bound: int,
-) -> tuple[int, list[int]] | None:
-    """The residue table ("round-robin") of Böcker & Lipták: Dijkstra over
-    residue keys, where step j adds the positive ``weights[j]`` to the total
-    and moves key k at new total v to ``advance(k, j, v)``.
-
-    Returns the least total reaching ``target`` from ``start`` at total 0,
-    with the step counts of that combination, or None when the target is
-    unreached or its least total exceeds ``bound``.
-    """
-    dist: dict[Hashable, int] = {start: 0}
-    pred: dict[Hashable, tuple[Hashable, int]] = {}
-    heap = [(0, start)]
-    while heap:
-        val, key = heapq.heappop(heap)
-        if val != dist[key]:
-            continue
-        for j, w in enumerate(weights):
-            nv = val + w
-            nk = advance(key, j, nv)
-            if nv < dist.get(nk, nv + 1):
-                dist[nk] = nv
-                pred[nk] = (key, j)
-                heapq.heappush(heap, (nv, nk))
-    least = dist.get(target)
-    if least is None or least > bound:
-        return None
-    counts = [0] * len(weights)
-    key = target
-    while key != start:
-        key, j = pred[key]
-        counts[j] += 1
-    return least, counts
-
-
 def _semigroup_rep(m: int, coins: Sequence[int]) -> list[int] | None:
     """Nonnegative counts of positive ``coins`` summing to m, or None.
 
-    Residue table modulo the smallest coin; handles arbitrarily large m in
-    one pass.
+    The residue table ("round-robin") of Böcker & Lipták modulo the
+    smallest coin a0: Dijkstra over the residues finds the least total of
+    each residue class with the coin counts of that combination, and m is
+    that least total for m's residue plus copies of a0, unless the least
+    total exceeds m.  Handles arbitrarily large m in one pass.
     """
     if m == 0:
         return [0] * len(coins)
     if m < 0 or not coins:
         return None
     a0 = min(coins)
-    found = _least_per_residue(coins, lambda _, __, v: v % a0, 0, m % a0, m)
-    if found is None:
+    dist = {0: 0}
+    pred: dict[int, tuple[int, int]] = {}
+    heap = [(0, 0)]
+    while heap:
+        val, key = heapq.heappop(heap)
+        if val != dist[key]:
+            continue
+        for j, w in enumerate(coins):
+            nv = val + w
+            nk = nv % a0
+            if nv < dist.get(nk, nv + 1):
+                dist[nk] = nv
+                pred[nk] = (key, j)
+                heapq.heappush(heap, (nv, nk))
+    key = m % a0
+    least = dist.get(key)
+    if least is None or least > m:
         return None
-    least, counts = found
+    counts = [0] * len(coins)
+    while key != 0:
+        key, j = pred[key]
+        counts[j] += 1
     counts[coins.index(a0)] += (m - least) // a0
     return counts
 
@@ -464,7 +472,8 @@ def _extremal_basis(gens: tuple[Vector, ...], chi1: Vector, chi2: Vector) -> _Ba
     combination of the two, so a solution with the fewest other steps keeps
     each below D."""
     nonzero = [i for i, g in enumerate(gens) if g != (0, 0)]
-    i, j = (next(k for k in nonzero if _primitive(gens[k]) == chi) for chi in (chi1, chi2))
+    # a pointed cone holds no generator opposite an extremal
+    i, j = (_on_line(gens, chi)[0] for chi in (chi1, chi2))
     (a, b), (c, d) = gens[i], gens[j]
     s = 1 if a * d - b * c > 0 else -1
     others = tuple(k for k in nonzero if k not in (i, j))
@@ -680,24 +689,14 @@ def facet_product_bound_check(cone: ConeData, v: Sequence[int]) -> bool:
     """
     if cone.kind is not ConeKind.PROPER_CONE:
         raise PreconditionError("facet product bound requires a pointed cone")
-    if cone.chi1 is None or cone.chi2 is None:
-        raise InternalCheckError("proper cone without extremals")
-    pairs = list(zip((cone.chi1, cone.chi2), cone.facets))
-    pos = next(
-        ((c, f) for c, f in pairs if c[0] > 0 and c[1] > 0), None
-    )
-    neg = next(
-        ((c, f) for c, f in pairs if c[0] < 0 and c[1] < 0), None
-    )
-    if pos is None or neg is None:
+    f_pos, f_neg = _extremal_facet(cone, 1), _extremal_facet(cone, -1)
+    if f_pos is None or f_neg is None:
         raise PreconditionError(
             "expected one strictly positive and one strictly negative extremal"
         )
     v = tuple(int(x) for x in v)
     if v[0] < 0 or v[1] < 0:
         raise PreconditionError("v must be componentwise nonnegative")
-    _, f_pos = pos
-    _, f_neg = neg
     if dot(f_pos, v) < 0:
         raise PreconditionError("v must lie on the cone side of the positive facet")
     return dot(v, f_pos) <= cone.norm * dot(v, f_neg)

@@ -53,6 +53,23 @@ def test_cone_axis_quadrant():
     assert cone.quadrant_relation is QuadrantRelation.CONTAINED_IN_QUADRANT
 
 
+@pytest.mark.parametrize(
+    "gens, relation",
+    [
+        (((1, 0), (-1, -1)), QuadrantRelation.ALONG_X_AXIS),
+        (((1, 0), (-1, -2)), QuadrantRelation.ALONG_X_AXIS),
+        (((0, 1), (-1, -1)), QuadrantRelation.ALONG_Y_AXIS),
+        # the half-plane y <= 0
+        (((1, 0), (-1, 0), (-1, -1)), QuadrantRelation.ALONG_X_AXIS),
+        (((1, 1), (2, -1)), QuadrantRelation.INTERSECTS_VIA_X_AXIS_SIDE),
+        # a line along an axis is one-dimensional, not an axis-ray contact
+        (((1, 0), (-1, 0)), QuadrantRelation.OTHER),
+    ],
+)
+def test_quadrant_relation(gens, relation):
+    assert cone_from_generators(VasSystem(2, gens)).quadrant_relation is relation
+
+
 def test_facets_nonnegative_on_generators():
     rng = random.Random(11)
     for _ in range(300):
