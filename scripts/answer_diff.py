@@ -22,7 +22,8 @@ on cones inside the quadrant or meeting it along one axis ray,
 and off the lattice, scans and
 integer-cone ``witness`` answers on 4-generator cones and planes,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
-and ``vass1-semilinear`` on the zigzag fixture and on small random 1-VASS.
+bitmap shapes (large lifted grids, caps with a zero side, zero generators,
+``verify-window --margin 0``), and ``vass1-semilinear`` on the zigzag fixture and on small random 1-VASS.
 
 Each worker runs under a 1 GiB address-space limit, and an operation that
 raises instead of returning an exit code is recorded as that exception, so
@@ -43,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from itertools import product
 from pathlib import Path
 
 from bench_pairs import ROOT, extract, git, parse_seeds
@@ -103,6 +105,12 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     Then ``decide-reach`` asks for target 0 on ex1 under a cap of
     100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
     it under a node budget of 0 and of 1.
+
+    Bitmap shapes no workload runs come next: ``lift --target`` on ex1 at
+    (30, 30), a lifted grid of 31^4 = 923,521 cells, and on ex2 at
+    (8, 6, 6); ``decide-reach`` without ``--witness`` at every even target
+    under caps with a zero side and on systems with a zero generator; and
+    ``verify-window --margin 0`` on ex1 and on one of those systems.
 
     Last of all, ``vass1-semilinear`` builds the zigzag fixture's set at
     ``--b-lps`` 8, 32, 64 and the default (which exhausts the default
@@ -241,6 +249,24 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     for budget in ("0", "1"):
         add(f"ex1 lift 0 budget {budget}", ["lift", "--instance", zero[2],
                                             "--target", "0,0", "--node-budget", budget])
+
+    add("ex1 lift 30,30", ["lift", "--instance", zero[2], "--target", "30,30"])
+    add("ex2 lift 8,6,6", ["lift", "--instance", files.vas(wl.EX2), "--target", "8,6,6"])
+    for gens, cap in (([(3, 0), (-2, 0), (1, 1)], (9, 0)),
+                      ([(0, 3), (0, -2), (1, 1)], (0, 9)),
+                      ([(1, 0, 2), (2, 0, -1), (0, 0, 1)], (6, 0, 5)),
+                      ([(0, 0), (2, -1), (-1, 2)], (8, 8)),
+                      ([(0, 0, 0), (1, 1, 0), (0, -1, 2), (-1, 0, 1)], (4, 4, 4))):
+        path = files.vas(gens)
+        for t in product(*(range(0, c + 1, 2) for c in cap)):
+            if any(t):
+                add(f"decide-reach {gens} {list(t)} cap {list(cap)}",
+                    ["decide-reach", "--instance", path, "--target", wl.vec(t),
+                     "--cap", wl.vec(cap)])
+    for gens in (wl.EX1, [(0, 0), (2, -1), (-1, 2)]):
+        add(f"verify-window {gens} margin 0",
+            ["verify-window", "--instance", files.vas(gens), "--lo", "20,20",
+             "--size", "4,4", "--margin", "0"])
 
     zstates, ztrans = wl.zigzag()
     zig = files.vass1(zstates, "0", ztrans)

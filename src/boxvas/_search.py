@@ -13,8 +13,9 @@ deciders can be differentially tested against each other:
   Frontier order is deterministic (FIFO, generators expanded in index
   order), so witnesses are reproducible.
 * ``reachable_bitmap``: a fixpoint over the whole grid encoded as one big
-  integer bitmap; a generator step is a single shift-and-mask.  Much faster
-  for sweeps, but yields decisions only.
+  integer bitmap; a generator step is a single shift-and-mask, applied in
+  place so that later moves of the same round see its cells, and each range
+  mask is one block doubled by shift-and-OR.  Faster for sweeps, decisions only.
 
 Every table-based engine charges ``node_budget`` the same way, through
 ``check_cells``: a table of more cells than the budget (the grid for the
@@ -59,11 +60,13 @@ def _strides(cap: Sequence[int]) -> list[int]:
 def _coord_range_mask(total_bits: int, stride: int, width: int, lo: int, hi: int) -> int:
     # Bitmap of all cells whose i-th coordinate lies in [lo, hi]; the i-th
     # coordinate occupies blocks of `stride` cells repeating with period
-    # stride * width.
+    # stride * width, so one block is doubled until it covers total_bits.
     period = stride * width
-    block = ((1 << ((hi - lo + 1) * stride)) - 1) << (lo * stride)
-    reps = total_bits // period
-    return block * (((1 << (reps * period)) - 1) // ((1 << period) - 1))
+    mask = ((1 << ((hi - lo + 1) * stride)) - 1) << (lo * stride)
+    while period < total_bits:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << total_bits) - 1)
 
 
 def reachable_bitmap(
@@ -74,7 +77,9 @@ def reachable_bitmap(
     """Bitmap (as int) of all points of [0, cap] reachable from 0 inside the box.
 
     Bit ``sum(x_i * stride_i)`` is set iff x is reachable by generator steps
-    that never leave [0, cap].
+    that never leave [0, cap].  A round applies the moves in place, each one
+    to the cells the earlier ones added: the box is fixed and every move is
+    monotone, so the fixpoint is the same, reached in fewer rounds.
     """
     cap = tuple(cap)
     n = grid_cells(cap)
@@ -83,26 +88,22 @@ def reachable_bitmap(
     moves: list[tuple[int, int]] = []
     for g in generators:
         mask = (1 << n) - 1
-        ok = True
         for gi, ci, si in zip(g, cap, strides):
-            lo = max(0, -gi)
-            hi = min(ci, ci - gi)
+            lo, hi = max(0, -gi), min(ci, ci - gi)
             if lo > hi:
-                ok = False
-                break
+                break  # g fits nowhere in the box
             if (lo, hi) != (0, ci):
                 mask &= _coord_range_mask(n, si, ci + 1, lo, hi)
-        if ok:
+        else:
             moves.append((dot(g, strides), mask))
     reached = 1  # origin
     while True:
-        new = reached
+        before = reached
         for offset, mask in moves:
             src = reached & mask
-            new |= (src << offset) if offset >= 0 else (src >> -offset)
-        if new == reached:
+            reached |= (src << offset) if offset >= 0 else (src >> -offset)
+        if reached == before:
             return reached
-        reached = new
 
 
 def bitmap_has(bitmap: int, cap: Sequence[int], point: Sequence[int]) -> bool:
