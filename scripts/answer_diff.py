@@ -23,7 +23,8 @@ and off the lattice, scans and
 integer-cone ``witness`` answers on 4-generator cones and planes,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
 bitmap shapes (large lifted grids, caps with a zero side, zero generators,
-``verify-window --margin 0``), and ``vass1-semilinear`` on the zigzag fixture and on small random 1-VASS.
+``verify-window --margin 0``), and ``vass1-semilinear`` on the zigzag
+fixture and on small random 1-VASS.
 
 Each worker runs under a 1 GiB address-space limit, and an operation that
 raises instead of returning an exit code is recorded as that exception, so

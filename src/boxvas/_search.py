@@ -77,9 +77,9 @@ def reachable_bitmap(
     """Bitmap (as int) of all points of [0, cap] reachable from 0 inside the box.
 
     Bit ``sum(x_i * stride_i)`` is set iff x is reachable by generator steps
-    that never leave [0, cap].  A round applies the moves in place, each one
-    to the cells the earlier ones added: the box is fixed and every move is
-    monotone, so the fixpoint is the same, reached in fewer rounds.
+    that never leave [0, cap].  A round applies the moves in place, so each
+    move also shifts the cells that earlier moves of the round added: the box
+    is fixed and every move monotone, so the fixpoint is the same, in fewer rounds.
     """
     cap = tuple(cap)
     n = grid_cells(cap)

@@ -54,10 +54,11 @@ def reference_bitmap(gens, cap):
             if lo > hi:
                 ok = False
                 break
-            period = si * (ci + 1)
-            block = ((1 << ((hi - lo + 1) * si)) - 1) << (lo * si)
-            reps = n // period
-            mask &= block * (((1 << (reps * period)) - 1) // ((1 << period) - 1))
+            if (lo, hi) != (0, ci):
+                period = si * (ci + 1)
+                block = ((1 << ((hi - lo + 1) * si)) - 1) << (lo * si)
+                reps = n // period
+                mask &= block * (((1 << (reps * period)) - 1) // ((1 << period) - 1))
         if ok:
             moves.append((dot(g, strides), mask))
     reached = 1
