@@ -22,7 +22,8 @@ on cones inside the quadrant or meeting it along one axis ray,
 and off the lattice, scans and
 integer-cone ``witness`` answers on 4-generator cones and planes,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
-bitmap shapes (large lifted grids, caps with a zero side, zero generators,
+the lifted systems that ``lift`` prints without ``--target``, bitmap
+shapes (large lifted grids, caps with a zero side, zero generators,
 ``verify-window --margin 0``), and ``vass1-semilinear`` on the zigzag
 fixture and on small random 1-VASS.
 
@@ -109,8 +110,11 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
 
     Bitmap shapes no workload runs come next: ``lift --target`` on ex1 at
     (30, 30), a lifted grid of 31^4 = 923,521 cells, and on ex2 at
-    (8, 6, 6); ``decide-reach`` without ``--witness`` at every even target
-    under caps with a zero side and on systems with a zero generator; and
+    (8, 6, 6), then ``lift`` without ``--target``, which prints the lifted
+    system (``dim``, ``generators``, ``instance``), on ex1, ex2 and the
+    one-counter steps 3, -2; ``decide-reach`` without ``--witness`` at
+    every even target under caps with a zero side and on systems with a
+    zero generator; and
     ``verify-window --margin 0`` on ex1 and on one of those systems.
 
     Last of all, ``vass1-semilinear`` builds the zigzag fixture's set at
@@ -251,8 +255,12 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
         add(f"ex1 lift 0 budget {budget}", ["lift", "--instance", zero[2],
                                             "--target", "0,0", "--node-budget", budget])
 
+    ex2 = files.vas(wl.EX2)
     add("ex1 lift 30,30", ["lift", "--instance", zero[2], "--target", "30,30"])
-    add("ex2 lift 8,6,6", ["lift", "--instance", files.vas(wl.EX2), "--target", "8,6,6"])
+    add("ex2 lift 8,6,6", ["lift", "--instance", ex2, "--target", "8,6,6"])
+    for label, path in (("ex1", zero[2]), ("ex2", ex2),
+                        ("vas 1 [3, -2]", files.vas([(3,), (-2,)]))):
+        add(f"{label} lift", ["lift", "--instance", path])
     for gens, cap in (([(3, 0), (-2, 0), (1, 1)], (9, 0)),
                       ([(0, 3), (0, -2), (1, 1)], (0, 9)),
                       ([(1, 0, 2), (2, 0, -1), (0, 0, 1)], (6, 0, 5)),

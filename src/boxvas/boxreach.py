@@ -115,8 +115,6 @@ class WindowReport:
     violations: tuple[Vector, ...]
     skipped: tuple[Vector, ...]
     checked: int
-    window_lo: Vector
-    window_size: Vector
     cap_margin: int
 
 
@@ -503,7 +501,7 @@ def synthesize_box_witness(
     # the other cases, and deep intersects-quadrant residuals, go through
     # case 1; shallow ones consume facet-parallel steps of the evidence path
     intersects = report.case_tag is ThresholdCase.INTERSECTS_QUADRANT
-    if not intersects or is_m_deep(cone, r, report.m_used):
+    if not intersects or is_m_deep(cone, r, report.m_used.value):
         return case1()
     if path is None:
         raise EvidenceError(
@@ -581,7 +579,5 @@ def verify_window(
         violations=tuple(violations),
         skipped=tuple(skipped),
         checked=checked,
-        window_lo=lo,
-        window_size=size,
         cap_margin=margin,
     )

@@ -164,7 +164,7 @@ def _threshold(args):
         "degenerate": report.degenerate,
     }
     if args.validate_radius is not None:
-        scan = ditc_falsification_scan(vas, report.m_used, args.validate_radius)
+        scan = ditc_falsification_scan(vas, report.m_used.value, args.validate_radius)
         result["scan"] = {
             "radius": scan.radius,
             "deep_lattice_points": scan.deep_lattice_points,
@@ -233,12 +233,12 @@ def _lift(args):
     vas = _require_vas(_load_instance(args.instance))
     lifted = lift_vas(vas)
     result = {
-        "dim": lifted.system.dim,
-        "generators": [list(g) for g in lifted.system.generators],
-        "instance": serialize_instance(InstanceFile(kind="vas", vas=lifted.system)),
+        "dim": lifted.dim,
+        "generators": [list(g) for g in lifted.generators],
+        "instance": serialize_instance(InstanceFile(kind="vas", vas=lifted)),
     }
     if args.target is None:
-        return result, f"lifted to dimension {lifted.system.dim}"
+        return result, f"lifted to dimension {lifted.dim}"
     from .lift import decide_box_via_lift
 
     result["decision"] = decide_box_via_lift(vas, _parse_vector(args.target), args.node_budget)
@@ -293,8 +293,8 @@ def _vass1_semilinear(args):
     result = {
         "explicit": sorted(semi.explicit),
         "components": [
-            {"base": base, "periods": list(periods)}
-            for base, periods in semi.components
+            {"base": base, "periods": [period]}
+            for base, period in semi.components
         ],
         "partial": semi.partial,
         "bounds": {

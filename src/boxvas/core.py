@@ -140,12 +140,6 @@ def drop_peak(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector]:
     return walk(vas, path)[1:]
 
 
-def overshoot(vas: VasSystem, path: Sequence[int]) -> Vector:
-    """Per coordinate, peak minus effect: by how much the path exceeds its target."""
-    eff, _, peak = walk(vas, path)
-    return vec_sub(peak, eff)
-
-
 def is_valid_n_trace(vas: VasSystem, path: Sequence[int], start: Vector) -> bool:
     """True iff every prefix effect added to ``start`` stays componentwise >= 0."""
     return vec_le(walk(vas, path)[1], tuple(start))

@@ -89,10 +89,6 @@ def default_deep_constant(vas: VasSystem) -> DeepConstant:
     return DeepConstant(16 * vas.norm**3, provenance="default")
 
 
-def _deep_value(m: "DeepConstant | int") -> int:
-    return m.value if isinstance(m, DeepConstant) else int(m)
-
-
 @dataclass(frozen=True)
 class ConeData:
     """Classification of the cone spanned by a 2-VAS's generators.
@@ -128,7 +124,6 @@ class DitcScanReport:
     undecided: tuple[Vector, ...]
     deep_lattice_points: int
     radius: int
-    m_value: int
 
 
 @dataclass(frozen=True)
@@ -359,56 +354,15 @@ def lattice_member(
     return (coeffs is not None), coeffs
 
 
-def is_m_deep(cone: ConeData, v: Sequence[int], m: "DeepConstant | int") -> bool:
+def is_m_deep(cone: ConeData, v: Sequence[int], m: int) -> bool:
     """True iff every facet dot product with v is at least m (vacuous when
     there are no facets, i.e. the full plane)."""
-    mv = _deep_value(m)
     v = tuple(v)
-    return all(dot(f, v) >= mv for f in cone.facets)
+    return all(dot(f, v) >= m for f in cone.facets)
 
 
 # ---------------------------------------------------------------------------
 # integer-cone membership
-
-
-def _semigroup_rep(m: int, coins: Sequence[int]) -> list[int] | None:
-    """Nonnegative counts of positive ``coins`` summing to m, or None.
-
-    The residue table ("round-robin") of Böcker & Lipták modulo the
-    smallest coin a0: Dijkstra over the residues finds the least total of
-    each residue class with the coin counts of that combination, and m is
-    that least total for m's residue plus copies of a0, unless the least
-    total exceeds m.  Handles arbitrarily large m in one pass.
-    """
-    if m == 0:
-        return [0] * len(coins)
-    if m < 0 or not coins:
-        return None
-    a0 = min(coins)
-    dist = {0: 0}
-    pred: dict[int, tuple[int, int]] = {}
-    heap = [(0, 0)]
-    while heap:
-        val, key = heapq.heappop(heap)
-        if val != dist[key]:
-            continue
-        for j, w in enumerate(coins):
-            nv = val + w
-            nk = nv % a0
-            if nv < dist.get(nk, nv + 1):
-                dist[nk] = nv
-                pred[nk] = (key, j)
-                heapq.heappush(heap, (nv, nk))
-    key = m % a0
-    least = dist.get(key)
-    if least is None or least > m:
-        return None
-    counts = [0] * len(coins)
-    while key != 0:
-        key, j = pred[key]
-        counts[j] += 1
-    counts[coins.index(a0)] += (m - least) // a0
-    return counts
 
 
 @dataclass(frozen=True)
@@ -582,7 +536,7 @@ def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
 
 def ditc_falsification_scan(
     vas: VasSystem,
-    m: "DeepConstant | int",
+    m: int,
     radius: int,
 ) -> DitcScanReport:
     """Scan all integer points of infinity-norm at most ``radius`` that are
@@ -594,7 +548,6 @@ def ditc_falsification_scan(
     _require_dim2(vas)
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
-    mv = _deep_value(m)
     cone = cone_from_generators(vas)
     solver = _LatticeSolver(vas.generators)
     bad: list[Vector] = []
@@ -603,7 +556,7 @@ def ditc_falsification_scan(
     for x in range(-radius, radius + 1):
         for y in range(-radius, radius + 1):
             v = (x, y)
-            if not is_m_deep(cone, v, mv):
+            if not is_m_deep(cone, v, m):
                 continue
             if solver.solve(v) is None:
                 continue
@@ -618,7 +571,6 @@ def ditc_falsification_scan(
         undecided=tuple(undecided),
         deep_lattice_points=checked,
         radius=radius,
-        m_value=mv,
     )
 
 

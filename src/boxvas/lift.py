@@ -7,51 +7,28 @@ forces x <= P <= t on every prefix of a run to (t, 0).  Hence t is
 box-reachable in the original system iff (t, 0) is reachable in the lifted
 one, and every successful lifted run stays within the box [0, (t, t)], so
 the capped engine decides it exactly.
+
+``lift_vas`` returns the lifted system itself, a plain ``VasSystem``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._search import DEFAULT_NODE_BUDGET, bfs_grid, bitmap_has, reachable_bitmap
-from .core import VasSystem, Vector, check_target, is_box_reaching_trace
+from .core import VasSystem, check_target, is_box_reaching_trace
 from .errors import InternalCheckError
 
 
-@dataclass(frozen=True)
-class LiftedVas:
-    """A 2d-dimensional system encoding box-reachability of a d-dimensional one.
-
-    The first len(original.generators) lifted generators are the mirrored
-    originals, in order; the remaining d are the pump generators.
-    """
-
-    original: VasSystem
-    system: VasSystem
-
-    @property
-    def mirror_indices(self) -> range:
-        return range(len(self.original.generators))
-
-    @property
-    def unit_indices(self) -> range:
-        n = len(self.original.generators)
-        return range(n, n + self.original.dim)
-
-
-def lift_vas(vas: VasSystem) -> LiftedVas:
+def lift_vas(vas: VasSystem) -> VasSystem:
+    """The lifted system: the mirrored generators first, in order, then the
+    d pumps, so dropping the indices >= len(vas.generators) from a lifted
+    path projects it back onto ``vas``."""
     d = vas.dim
     mirrored = [g + tuple(-x for x in g) for g in vas.generators]
     pumps = [
         tuple(1 if k == d + i else 0 for k in range(2 * d)) for i in range(d)
     ]
-    lifted = VasSystem(2 * d, tuple(mirrored + pumps))
-    return LiftedVas(original=vas, system=lifted)
-
-
-def lifted_target(vas: VasSystem, target: Sequence[int]) -> Vector:
-    t = check_target(target, vas.dim)
-    return t + (0,) * vas.dim
+    return VasSystem(2 * d, tuple(mirrored + pumps))
 
 
 def decide_box_via_lift(
@@ -68,16 +45,9 @@ def decide_box_via_lift(
     t = check_target(target, vas.dim)
     if not any(t):
         return True
-    lift = lift_vas(vas)
     cap = t + t
-    bitmap = reachable_bitmap(lift.system.generators, cap, node_budget)
-    return bitmap_has(bitmap, cap, lifted_target(vas, t))
-
-
-def project_witness(lift: LiftedVas, path: Sequence[int]) -> list[int]:
-    """Drop the pump steps of a lifted witness, keeping mirrored indices."""
-    n = len(lift.original.generators)
-    return [i for i in path if i < n]
+    bitmap = reachable_bitmap(lift_vas(vas).generators, cap, node_budget)
+    return bitmap_has(bitmap, cap, t + (0,) * vas.dim)
 
 
 def box_witness_via_lift(
@@ -91,12 +61,11 @@ def box_witness_via_lift(
     t = check_target(target, vas.dim)
     if not any(t):
         return []
-    lift = lift_vas(vas)
     cap = t + t
-    path = bfs_grid(lift.system.generators, cap, lifted_target(vas, t), node_budget)
+    path = bfs_grid(lift_vas(vas).generators, cap, t + (0,) * vas.dim, node_budget)
     if path is None:
         return None
-    projected = project_witness(lift, path)
+    projected = [i for i in path if i < len(vas.generators)]
     if not is_box_reaching_trace(vas, projected, t):
         raise InternalCheckError("projected lifted witness is not box-reaching")
     return projected

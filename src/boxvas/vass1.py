@@ -33,6 +33,12 @@ does not depend on theta, so its least value per residue is kept for each
 effect of each residue.  Every emitted component, like every BFS witness,
 is verified by walking an actual path (``_is_box_run``) before it is
 admitted.
+
+A component is a (base, period) pair, the values base + k * period for
+k >= 0: the period is the effect of the pumped cycle beta.  One period per
+component loses nothing, because every semilinear subset of N is
+ultimately periodic (Ginsburg & Spanier 1966), so membership is one
+congruence test per component.
 """
 from __future__ import annotations
 
@@ -47,7 +53,6 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-from .geometry import _semigroup_rep
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,8 @@ class Vass1Bounds:
 @dataclass(frozen=True)
 class SemilinearSet:
     explicit: frozenset[int]
-    components: tuple[tuple[int, tuple[int, ...]], ...]  # (base, periods)
+    # (base, period >= 1) pairs; one period suffices (see the module docstring)
+    components: tuple[tuple[int, int], ...]
     partial: bool = False
 
 
@@ -178,8 +184,7 @@ def semilinear_member(s: SemilinearSet, n: int) -> bool:
     if n < 0:
         raise PreconditionError("membership is defined for nonnegative values")
     return n in s.explicit or any(
-        n >= base and _semigroup_rep(n - base, periods) is not None
-        for base, periods in s.components
+        n >= base and (n - base) % period == 0 for base, period in s.components
     )
 
 
@@ -572,7 +577,7 @@ def build_semilinear(
 
     result = SemilinearSet(
         explicit=frozenset(explicit),
-        components=tuple(sorted((b, (p,)) for b, p in components)),
+        components=tuple(sorted(components)),
         partial=False,
     )
     return result, bounds

@@ -281,7 +281,7 @@ def test_criterion_10_deep_point_scans():
         by_norm = sorted(inst, key=lambda p: p[0].norm)
         for vas, _ in by_norm[:20]:
             report = ditc_falsification_scan(
-                vas, default_deep_constant(vas), 50
+                vas, default_deep_constant(vas).value, 50
             )
             assert report.counterexamples == (), vas.generators
             assert report.undecided == (), vas.generators

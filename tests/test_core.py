@@ -14,7 +14,6 @@ from boxvas import (
     effect,
     is_box_reaching_trace,
     is_valid_n_trace,
-    overshoot,
     prefix_effects,
 )
 from boxvas.core import walk
@@ -50,17 +49,6 @@ def test_drop_peak_examples(ex1):
     drop, peak = drop_peak(ex1, [1, 0])
     assert drop == (0, 1)
     assert peak == (2, 1)
-
-
-def test_overshoot_examples(ex1):
-    one = VasSystem(1, ((2,), (-1,)))
-    assert overshoot(one, [0, 1]) == (1,)
-    # alpha beta^k projected on x: over = 2 regardless of k
-    for k in (1, 2, 3):
-        path = [0] + [1, 2] * k
-        assert overshoot(ZIGZAG, path)[0] == 2
-    mono = VasSystem(2, ((1, 0), (0, 1)))
-    assert overshoot(mono, [0, 1, 0, 1]) == (0, 0)
 
 
 def test_valid_n_trace_examples(ex1):

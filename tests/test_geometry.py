@@ -349,7 +349,7 @@ def test_is_m_deep(ex1):
 
 
 def test_ditc_scan_example1(ex1):
-    report = ditc_falsification_scan(ex1, default_deep_constant(ex1), 40)
+    report = ditc_falsification_scan(ex1, default_deep_constant(ex1).value, 40)
     assert report.counterexamples == ()
     assert report.undecided == ()
     # the default M is far beyond any 40-radius point, so the scan is vacuous

@@ -12,8 +12,6 @@ from boxvas import (
     effect,
     is_box_reaching_trace,
     lift_vas,
-    lifted_target,
-    project_witness,
 )
 
 from conftest import INDEX_SIDES, index_vas, random_vas
@@ -21,29 +19,24 @@ from conftest import INDEX_SIDES, index_vas, random_vas
 
 def test_lift_shape_small():
     vas = VasSystem(2, ((1, 1),))
-    lift = lift_vas(vas)
-    assert lift.system.dim == 4
-    assert lift.system.generators == (
+    lifted = lift_vas(vas)
+    assert lifted.dim == 4
+    # the mirrored generator first, then the pumps
+    assert lifted.generators == (
         (1, 1, -1, -1),
         (0, 0, 1, 0),
         (0, 0, 0, 1),
     )
-    assert list(lift.mirror_indices) == [0]
-    assert list(lift.unit_indices) == [1, 2]
 
 
 def test_lift_shape_example2(ex2):
-    lift = lift_vas(ex2)
-    assert lift.system.dim == 6
-    assert len(lift.system.generators) == 6
-    for g, m in zip(ex2.generators, lift.system.generators):
+    lifted = lift_vas(ex2)
+    assert lifted.dim == 6
+    assert len(lifted.generators) == 6
+    for g, m in zip(ex2.generators, lifted.generators):
         assert m == g + tuple(-x for x in g)
-    for i, u in zip(lift.unit_indices, lift.system.generators[3:]):
-        assert u[i - 3 + 3] == 1 and sum(map(abs, u)) == 1
-
-
-def test_lifted_target(ex1):
-    assert lifted_target(ex1, (21, 21)) == (21, 21, 0, 0)
+    for i, u in enumerate(lifted.generators[3:], start=3):
+        assert u[i] == 1 and sum(map(abs, u)) == 1
 
 
 def test_decide_via_lift_examples(ex1, ex2):
@@ -60,12 +53,6 @@ def test_witness_via_lift(ex1):
     assert path is not None
     assert is_box_reaching_trace(ex1, path, (21, 21))
     assert box_witness_via_lift(ex1, (11, 11)) is None
-
-
-def test_project_witness(ex1):
-    lift = lift_vas(ex1)
-    projected = project_witness(lift, [3, 0, 4, 2, 3])
-    assert projected == [0, 2]
 
 
 targets = st.tuples(st.integers(0, 8), st.integers(0, 8))

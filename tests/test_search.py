@@ -99,8 +99,8 @@ def test_bitmap_matches_dict_bfs():
     ]
     ex1, ex2 = lift_vas(VasSystem(2, EX1_GENS)), lift_vas(VasSystem(3, EX2_GENS))
     # the lifted boxes [0, (t, t)] that decide_box_via_lift searches
-    cases += [(list(ex1.system.generators), (12,) * 4),
-              (list(ex2.system.generators), (4,) * 6)]
+    cases += [(list(ex1.generators), (12,) * 4),
+              (list(ex2.generators), (4,) * 6)]
     assert any(0 in cap for _, cap in cases)
     assert any(any(not any(g) for g in gens) for gens, _ in cases)
     sizes = []
