@@ -20,7 +20,8 @@ on cones inside the quadrant or meeting it along one axis ray,
 ``vass1-decide`` on small random 1-VASS, the deciders and
 ``verify-window`` on systems whose lattice has index > 1, with targets on
 and off the lattice, scans and
-integer-cone ``witness`` answers on 4-generator cones and planes,
+integer-cone ``witness`` answers on 4-generator cones and planes and on
+proper cones with two generators of different lengths on each extremal ray,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
 the lifted systems that ``lift`` prints without ``--target``, bitmap
 shapes (large lifted grids, caps with a zero side, zero generators,
@@ -103,6 +104,17 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     evidence holds no copy of the strictly positive p (it sums the
     extremals to at least W in both coordinates), and the plane evidence
     adds a million cancelling copies of u and -u to p.
+
+    Two proper cones follow whose extremal rays each hold two parallel
+    generators of different lengths: (-1, 2), (-2, 4), (2, -1), (4, -2),
+    (10, 10) and (-1, 1), (-3, 3), (1, 0), (2, 0), (1, 1), each in this
+    generator order and reversed.  Each runs ``threshold --validate-radius
+    8`` with the default M and with ``--m 0``, ``seed``, and a
+    proof-case-1 ``witness`` under ``--m 0`` whose evidence takes only the
+    ray generators, so the integer-cone solve runs.  That solve starts from
+    the first generator on each extremal ray, so the two orders give
+    different witnesses, and a classifier that found the rays, or the
+    generators on them, otherwise would change them.
 
     Then ``decide-reach`` asks for target 0 on ex1 under a cap of
     100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
@@ -246,6 +258,24 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             add(f"{label} witness", ["witness", "--instance", path, "--target",
                                      wl.vec(target), "--evidence", "coeffs",
                                      "--values", wl.vec(counts), "--m", "0"])
+
+    # each extremal ray holds two generators of different lengths; the
+    # evidence takes `unit` copies of each ray generator times x, no (1, 1)
+    for gens, unit in (([(-1, 2), (-2, 4), (2, -1), (4, -2), (10, 10)], [1, 1, 1, 1, 0]),
+                       ([(-1, 1), (-3, 3), (1, 0), (2, 0), (1, 1)], [1, 1, 3, 3, 0])):
+        w = 16 * wl.ck.vas_norm(gens)**3  # W under --m 0
+        total = [sum(k * g[i] for k, g in zip(unit, gens)) for i in range(2)]
+        x = -(-w // min(total)) + 1
+        for order, counts in ((gens, unit), (gens[::-1], unit[::-1])):
+            path = files.vas(order)
+            label = f"ray pairs {order}"
+            for m in ([], ["--m", "0"]):
+                add(" ".join([label, "threshold", *m]),
+                    ["threshold", "--instance", path, *m, "--validate-radius", "8"])
+            add(f"{label} seed", ["seed", "--instance", path])
+            add(f"{label} witness", ["witness", "--instance", path, "--target",
+                                     wl.vec(x * a for a in total), "--evidence", "coeffs",
+                                     "--values", wl.vec(x * k for k in counts), "--m", "0"])
 
     zero = ["decide-reach", "--instance", files.vas([(-1, 2), (2, -1), (10, 10)]),
             "--target", "0,0", "--cap", "100000,100000"]

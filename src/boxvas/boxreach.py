@@ -56,7 +56,6 @@ from .geometry import (
     DeepConstant,
     Membership,
     QuadrantRelation,
-    _LatticeSolver,
     _extremal_facet,
     _on_line,
     _require_dim2,
@@ -65,6 +64,7 @@ from .geometry import (
     default_deep_constant,
     int_cone_member,
     is_m_deep,
+    lattice_member,
 )
 from .steinitz import reorder_counts
 
@@ -198,7 +198,7 @@ def decide_reach_capped(
         check_cells("padded grid", grid_cells(padded), node_budget)
     else:
         check_cells("grid", grid_cells(c), node_budget)
-    if _LatticeSolver(vas.generators).solve(t) is None:
+    if not lattice_member(vas, t):
         return False, None
     if want_witness:
         path = bfs_grid(vas.generators, c, t, node_budget)

@@ -62,7 +62,7 @@ def _load_instance(path: str) -> InstanceFile:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_instance(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidInputError(f"cannot read instance file {path!r}: {e}")
 
 

@@ -1,14 +1,17 @@
 """Cone machinery for 2-D systems, and lattice membership in any dimension.
 
-``_LatticeSolver`` decides membership in the generators' integer lattice
+``lattice_member`` decides membership in the generators' integer lattice
 for every dimension; the deciders of ``boxreach`` use it to refute
 off-lattice targets before any grid search.  Cone classification, facets
 and integer-cone membership are 2-dimensional.
 
 Everything here is exact integer / rational arithmetic.  The cone of a
-2-dimensional system is classified by sorting generator directions by angle
-and looking at the largest cyclic gap: a gap over 180 degrees leaves a
-pointed cone, exactly 180 a half-plane, anything less the full plane.
+2-dimensional system is classified by its boundary directions, found by two
+tests over the distinct generator directions: every direction lies within
+180 degrees counterclockwise of the clockwise-most one, and within 180
+degrees clockwise of the counterclockwise-most one.  With no clockwise-most
+direction the cone is the full plane, with two (opposite) ones a line;
+opposite boundary directions bound a half-plane, any others a pointed cone.
 Integer-cone membership is one search for every cone shape: the non-basic
 coefficients of an LP basis, in a box that the facets and a determinant or
 proximity bound cap, walked in order of their cost.
@@ -19,7 +22,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key, lru_cache
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -167,19 +169,6 @@ def _extremal_facet(cone: ConeData, sign: int) -> Vector | None:
     return None
 
 
-def _angle_half(v: Vector) -> int:
-    # 0 for angles in [0, 180), 1 for [180, 360)
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def _angle_cmp(a: Vector, b: Vector) -> int:
-    ha, hb = _angle_half(a), _angle_half(b)
-    if ha != hb:
-        return ha - hb
-    c = cross(a, b)
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
 def _require_dim2(vas: VasSystem) -> None:
     if vas.dim != 2:
         raise UnsupportedDimensionError(
@@ -248,46 +237,37 @@ def cone_from_generators(vas: VasSystem) -> ConeData:
     if not nonzero:
         return build(ConeKind.ZERO_ONLY, None, None, ((1, 0), (-1, 0)))
 
-    dirs = sorted({_primitive(g) for g in nonzero}, key=cmp_to_key(_angle_cmp))
+    dirs = {_primitive(g) for g in nonzero}
     if len(dirs) == 1:
-        d = dirs[0]
+        (d,) = dirs
         return build(ConeKind.RAY, d, d, (_lower_facet(d), _upper_facet(d)))
-    if len(dirs) == 2 and dirs[0] == vec_scale(-1, dirs[1]):
-        d = dirs[0]
+    # lo: the clockwise-most directions, with every direction at most 180
+    # degrees counterclockwise of them; hi: the counterclockwise-most
+    lo = [w for w in dirs if all(cross(w, x) >= 0 for x in dirs)]
+    hi = [u for u in dirs if all(cross(x, u) >= 0 for x in dirs)]
+    if len(lo) == 2:
+        # both directions of one line; chi1 is the one at an angle in [0, 180)
+        d = max(lo, key=lambda v: (v[1], v[0]))
         return build(
             ConeKind.LINE, d, vec_scale(-1, d), (_lower_facet(d), _upper_facet(d))
         )
-
-    # Walk the cyclic gaps between angularly consecutive directions; at most
-    # one gap can reach 180 degrees.  A gap from u counterclockwise to w is
-    # over 180 iff cross(u, w) < 0, exactly 180 iff cross = 0 with opposite
-    # orientation (duplicates were removed, so cross = 0 means w = -u).
-    n = len(dirs)
-    for i in range(n):
-        u, w = dirs[i], dirs[(i + 1) % n]
-        c = cross(u, w)
-        if c < 0:
-            # gap over 180: pointed cone from w (clockwise-most) ccw to u
-            return build(
-                ConeKind.PROPER_CONE, u, w, (_upper_facet(u), _lower_facet(w))
-            )
-        if c == 0 and dot(u, w) < 0:
-            # gap exactly 180: half-plane whose boundary is the u/w line
-            return build(ConeKind.HALF_PLANE, u, w, (_lower_facet(w),))
-    return build(ConeKind.FULL_PLANE, None, None, ())
+    if not lo:
+        return build(ConeKind.FULL_PLANE, None, None, ())
+    (u,), (w,) = hi, lo
+    if u == vec_scale(-1, w):
+        return build(ConeKind.HALF_PLANE, u, w, (_lower_facet(w),))
+    return build(ConeKind.PROPER_CONE, u, w, (_upper_facet(u), _lower_facet(w)))
 
 
 class _LatticeSolver:
-    """Integer row echelon of the generator matrix with a transform, so that
-    lattice membership plus reproducing coefficients is one back-substitution.
-    Works in any dimension; the pivot columns run over every coordinate."""
+    """Integer row echelon of the generator matrix, so that lattice
+    membership is one back-substitution along the pivots.  Works in any
+    dimension; the pivot columns run over every coordinate."""
 
     def __init__(self, generators: Sequence[Vector]):
-        self.generators = [tuple(g) for g in generators]
-        n = len(self.generators)
-        dim = len(self.generators[0]) if n else 0
-        rows = [list(g) for g in self.generators]
-        transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [list(g) for g in generators]
+        n = len(rows)
+        dim = len(rows[0]) if n else 0
         r = 0
         pivots: list[tuple[int, int]] = []  # (row, col)
         for col in range(dim):
@@ -299,7 +279,6 @@ class _LatticeSolver:
                     break
                 p = min(live, key=lambda i: abs(rows[i][col]))
                 rows[r], rows[p] = rows[p], rows[r]
-                transform[r], transform[p] = transform[p], transform[r]
                 reduced = True
                 for i in range(r + 1, n):
                     if rows[i][col] == 0:
@@ -307,51 +286,35 @@ class _LatticeSolver:
                     q = rows[i][col] // rows[r][col]
                     for k in range(dim):
                         rows[i][k] -= q * rows[r][k]
-                    for k in range(n):
-                        transform[i][k] -= q * transform[r][k]
                     if rows[i][col] != 0:
                         reduced = False
                 if reduced:
                     break
-            if r < n and rows[r][col] != 0:
-                if rows[r][col] < 0:
-                    rows[r] = [-x for x in rows[r]]
-                    transform[r] = [-x for x in transform[r]]
+            if rows[r][col] != 0:
                 pivots.append((r, col))
                 r += 1
         self._rows = rows
-        self._transform = transform
         self._pivots = pivots
 
-    def solve(self, v: Vector) -> tuple[int, ...] | None:
-        """Integer coefficients over the original generators summing to v,
-        or None when v is not in the lattice."""
-        n = len(self.generators)
+    def contains(self, v: Vector) -> bool:
+        """Whether v is an integer combination of the generators."""
         y = list(v)
-        combo = [0] * n
         for r, col in self._pivots:
             q, rem = divmod(y[col], self._rows[r][col])
-            if rem != 0:
-                return None
+            if rem:
+                return False
             for k, a in enumerate(self._rows[r]):
                 y[k] -= q * a
-            for k in range(n):
-                combo[k] += q * self._transform[r][k]
-        if any(y):
-            return None
-        return tuple(combo)
+        return not any(y)
 
 
-def lattice_member(
-    vas: VasSystem, v: Sequence[int]
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Exact test for v being an integer combination of the generators, in
-    any dimension."""
+def lattice_member(vas: VasSystem, v: Sequence[int]) -> bool:
+    """Whether v is an integer combination of the generators, in any
+    dimension: an exact test that builds no combination."""
     v = tuple(int(x) for x in v)
     if len(v) != vas.dim:
         raise InvalidInputError(f"vector {v} does not have {vas.dim} entries")
-    coeffs = _LatticeSolver(vas.generators).solve(v)
-    return (coeffs is not None), coeffs
+    return _LatticeSolver(vas.generators).contains(v)
 
 
 def is_m_deep(cone: ConeData, v: Sequence[int], m: int) -> bool:
@@ -384,7 +347,6 @@ class _Basis:
     costs: tuple[int, ...]
 
 
-@lru_cache(maxsize=64)
 def _dual_feasible_bases(gens: tuple[Vector, ...]) -> tuple[tuple[_Basis, ...], int]:
     """The bases with no negative reduced cost, and the proximity bound.
 
@@ -419,12 +381,13 @@ def _dual_feasible_bases(gens: tuple[Vector, ...]) -> tuple[tuple[_Basis, ...], 
     return tuple(bases), len(nonzero) * delta
 
 
-@lru_cache(maxsize=64)
-def _extremal_basis(gens: tuple[Vector, ...], chi1: Vector, chi2: Vector) -> _Basis:
+def _extremal_basis(
+    gens: tuple[Vector, ...], chi1: Vector, chi2: Vector
+) -> tuple[tuple[_Basis, ...], int]:
     """A proper cone's first generators along chi1 and chi2, at cost 1 per
-    other step.  D = |det| copies of any generator are a nonnegative integer
-    combination of the two, so a solution with the fewest other steps keeps
-    each below D."""
+    other step, and the bound D - 1.  D = |det| copies of any generator are
+    a nonnegative integer combination of the two, so a solution with the
+    fewest other steps keeps each below D."""
     nonzero = [i for i, g in enumerate(gens) if g != (0, 0)]
     # a pointed cone holds no generator opposite an extremal
     i, j = (_on_line(gens, chi)[0] for chi in (chi1, chi2))
@@ -432,7 +395,8 @@ def _extremal_basis(gens: tuple[Vector, ...], chi1: Vector, chi2: Vector) -> _Ba
     s = 1 if a * d - b * c > 0 else -1
     others = tuple(k for k in nonzero if k not in (i, j))
     rows = ((s * d, -s * c), (-s * b, s * a))
-    return _Basis((i, j), rows, s * (a * d - b * c), others, (1,) * len(others))
+    denom = s * (a * d - b * c)
+    return (_Basis((i, j), rows, denom, others, (1,) * len(others)),), denom - 1
 
 
 def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -456,11 +420,10 @@ def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int
                 heapq.heappush(heap, (cost + costs[k], child, k))
 
 
-def _int_cone_with(
-    vas: VasSystem, cone: ConeData, solver: _LatticeSolver, v: Vector
-) -> IntConeResult:
-    """Membership of v, searched around the extremal pair of a proper cone
-    or else an optimal LP basis.
+class _IntConeSearch:
+    """Membership of points v, searched around the extremal pair of a proper
+    cone or else an optimal LP basis; the lattice echelon and the bases are
+    prepared once per system.
 
     Each non-basic coefficient is capped by |det| - 1 or the proximity
     bound and, for every facet f with f.g > 0, by floor(f.v / f.g); some
@@ -469,53 +432,60 @@ def _int_cone_with(
     point whose basic coefficients come out integral and nonnegative is
     one, and an exhausted box proves that v is no member.
     """
-    if v == (0, 0):
-        return IntConeResult(Membership.MEMBER, (0,) * len(vas.generators))
-    if any(dot(f, v) < 0 for f in cone.facets) or solver.solve(v) is None:
-        return IntConeResult(Membership.NON_MEMBER)
-    gens = vas.generators
-    if cone.kind is ConeKind.PROPER_CONE:
-        basis = _extremal_basis(gens, cone.chi1, cone.chi2)
-        bound = basis.denom - 1
-    else:
-        bases, bound = _dual_feasible_bases(gens)
-        for basis in bases:
+
+    def __init__(self, vas: VasSystem, cone: ConeData):
+        self.gens = vas.generators
+        self.cone = cone
+        self.lattice = _LatticeSolver(self.gens)
+        if cone.kind is ConeKind.PROPER_CONE:
+            self.bases, self.bound = _extremal_basis(self.gens, cone.chi1, cone.chi2)
+        else:
+            self.bases, self.bound = _dual_feasible_bases(self.gens)
+
+    def member(self, v: Vector) -> IntConeResult:
+        gens = self.gens
+        if v == (0, 0):
+            return IntConeResult(Membership.MEMBER, (0,) * len(gens))
+        facets = self.cone.facets
+        if any(dot(f, v) < 0 for f in facets) or not self.lattice.contains(v):
+            return IntConeResult(Membership.NON_MEMBER)
+        for basis in self.bases:
             if min(a * v[0] + b * v[1] for a, b in basis.rows) >= 0:
                 break
         else:
             # some dual-feasible basis is primal-feasible if the LP is
             # feasible, so v is outside the real cone (only a ray's facets
-            # let it pass)
+            # let it pass); a proper cone's extremal pair spans its cone
             return IntConeResult(Membership.NON_MEMBER)
-    caps = []
-    for k in basis.others:
-        cap = bound
-        for f in cone.facets:
-            fg = f[0] * gens[k][0] + f[1] * gens[k][1]
-            if fg > 0:
-                cap = min(cap, (f[0] * v[0] + f[1] * v[1]) // fg)
-        caps.append(cap)
-    for walked, c in enumerate(_cost_order(basis.costs, caps)):
-        if walked == DEFAULT_INT_CONE_BUDGET:
-            return IntConeResult(Membership.UNDECIDED)
-        x, y = v
-        for ck, k in zip(c, basis.others):
-            x, y = x - ck * gens[k][0], y - ck * gens[k][1]
-        qs = []
-        for a, b in basis.rows:
-            q, rem = divmod(a * x + b * y, basis.denom)
-            if rem or q < 0:
-                break
-            qs.append(q)
-        else:
-            found = c + tuple(qs)
-            coeffs = [0] * len(gens)
-            for k, ck in zip(basis.others + basis.indices, found):
-                coeffs[k] = ck
-            if combination(gens, coeffs) != v:
-                raise InternalCheckError(f"integer-cone coefficients miss {v}")
-            return IntConeResult(Membership.MEMBER, tuple(coeffs))
-    return IntConeResult(Membership.NON_MEMBER)
+        caps = []
+        for k in basis.others:
+            cap = self.bound
+            for f in facets:
+                fg = f[0] * gens[k][0] + f[1] * gens[k][1]
+                if fg > 0:
+                    cap = min(cap, (f[0] * v[0] + f[1] * v[1]) // fg)
+            caps.append(cap)
+        for walked, c in enumerate(_cost_order(basis.costs, caps)):
+            if walked == DEFAULT_INT_CONE_BUDGET:
+                return IntConeResult(Membership.UNDECIDED)
+            x, y = v
+            for ck, k in zip(c, basis.others):
+                x, y = x - ck * gens[k][0], y - ck * gens[k][1]
+            qs = []
+            for a, b in basis.rows:
+                q, rem = divmod(a * x + b * y, basis.denom)
+                if rem or q < 0:
+                    break
+                qs.append(q)
+            else:
+                found = c + tuple(qs)
+                coeffs = [0] * len(gens)
+                for k, ck in zip(basis.others + basis.indices, found):
+                    coeffs[k] = ck
+                if combination(gens, coeffs) != v:
+                    raise InternalCheckError(f"integer-cone coefficients miss {v}")
+                return IntConeResult(Membership.MEMBER, tuple(coeffs))
+        return IntConeResult(Membership.NON_MEMBER)
 
 
 def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
@@ -529,9 +499,8 @@ def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
     they are least-length.
     """
     _require_dim2(vas)
-    cone = cone_from_generators(vas)
-    solver = _LatticeSolver(vas.generators)
-    return _int_cone_with(vas, cone, solver, tuple(int(x) for x in v))
+    search = _IntConeSearch(vas, cone_from_generators(vas))
+    return search.member(tuple(int(x) for x in v))
 
 
 def ditc_falsification_scan(
@@ -549,7 +518,7 @@ def ditc_falsification_scan(
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     cone = cone_from_generators(vas)
-    solver = _LatticeSolver(vas.generators)
+    search = _IntConeSearch(vas, cone)
     bad: list[Vector] = []
     undecided: list[Vector] = []
     checked = 0
@@ -558,10 +527,10 @@ def ditc_falsification_scan(
             v = (x, y)
             if not is_m_deep(cone, v, m):
                 continue
-            if solver.solve(v) is None:
+            if not search.lattice.contains(v):
                 continue
             checked += 1
-            res = _int_cone_with(vas, cone, solver, v)
+            res = search.member(v)
             if res.status is Membership.NON_MEMBER:
                 bad.append(v)
             elif res.status is Membership.UNDECIDED:

@@ -74,6 +74,8 @@ def parse_instance(text: str) -> InstanceFile:
                     raise InstanceParseError("'states' needs at least one name", no)
                 states = tuple(toks[1:])
             elif key == "init":
+                if init is not None:
+                    raise InstanceParseError("duplicate 'init' line", no)
                 if len(toks) != 2:
                     raise InstanceParseError("'init' takes exactly one state", no)
                 if states is None:

@@ -607,7 +607,7 @@ def test_off_lattice_refutation_is_sound():
                 ok, bundle = decide_reach_capped(vas, t, cap, want_witness=witness)
                 assert ok == reached, (vas, t, witness)
                 assert (bundle is not None) == (ok and witness)
-            if any(t) and not lattice_member(vas, t)[0]:
+            if any(t) and not lattice_member(vas, t):
                 refuted += 1
     assert refuted
 
@@ -621,7 +621,7 @@ def test_off_lattice_targets_allocate_no_table(ex1, monkeypatch):
     tried = 0
     for vas, cap, points in index_cases(11):
         for t in points:
-            if any(t) and not lattice_member(vas, t)[0]:
+            if any(t) and not lattice_member(vas, t):
                 assert decide_box_reach(vas, t) == (False, None)
                 for witness in (False, True):
                     got = decide_reach_capped(vas, t, cap, want_witness=witness)

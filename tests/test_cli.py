@@ -81,6 +81,15 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("widget 3\n")
 
 
+def test_parse_rejects_duplicate_lines():
+    with pytest.raises(InstanceParseError) as exc:
+        parse_instance("vass1\nstates p\nstates q\ninit p\n")
+    assert exc.value.line == 3
+    with pytest.raises(InstanceParseError, match="duplicate 'init' line") as exc:
+        parse_instance("vass1\nstates p q\ninit p\ntrans p 1 q\ninit q\n")
+    assert exc.value.line == 5
+
+
 def test_round_trip_identity():
     for text in (EX1_TEXT, VASS1_TEXT):
         inst = parse_instance(text)
@@ -302,6 +311,11 @@ def test_cli_exit_codes(ex1_file, vass1_file, tmp_path, capsys):
     capsys.readouterr()
     # missing file -> usage
     assert run_command(["decide-box", "--instance", str(tmp_path / "nope"), "--target", "1,1"]) == 2
+    capsys.readouterr()
+    # a file that is not UTF-8 -> usage
+    binary = tmp_path / "binary.vas"
+    binary.write_bytes(b"vas 2\n\xff 1\n")
+    assert run_command(["decide-box", "--instance", str(binary), "--target", "1,1"]) == 2
     capsys.readouterr()
     # below-threshold witness request -> precondition
     assert (
