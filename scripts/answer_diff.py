@@ -26,7 +26,8 @@ proper cones with two generators of different lengths on each extremal ray,
 the lifted systems that ``lift`` prints without ``--target``, bitmap
 shapes (large lifted grids, caps with a zero side, zero generators,
 ``verify-window --margin 0``), and ``vass1-semilinear`` on the zigzag
-fixture and on small random 1-VASS.
+fixture (also refused under a small budget), on small random 1-VASS, on
+one state with many self-loops and on parallel transitions.
 
 Each worker runs under a 1 GiB address-space limit, and an operation that
 raises instead of returning an exit code is recorded as that exception, so
@@ -133,7 +134,11 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     ``--b-lps`` 8, 32, 64 and the default (which exhausts the default
     budget), and at ``--b-lps`` 32 under 452,240 budget units, exactly what
     it needs, and one fewer; then the set of 20 random 1-VASS at
-    ``--b-lps`` 3 to 7.
+    ``--b-lps`` 3 to 7; the one-state system with self-loops -1, 3, -3, 0, 3
+    at ``--b-lps`` 9 (2,441,406 paths in 1,016 profiles); a two-state system
+    with parallel transitions; and zigzag at the default ``--b-lps`` under
+    100,000 units, which its path enumeration alone exceeds, so that the
+    refusal messages are compared too.
     """
     sys.path.insert(0, str(perfbench))
     import workloads as wl
@@ -324,6 +329,16 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
         add(f"vass1-semilinear #{n} b-lps {b}",
             ["vass1-semilinear", "--instance", files.vass1(states, states[0], trans),
              "--to", rng.choice(states), "--b-lps", str(b)])
+    loops = files.vass1(["q"], "q", [("q", w, "q") for w in (-1, 3, -3, 0, 3)])
+    add("self-loops semilinear b-lps 9",
+        ["vass1-semilinear", "--instance", loops, "--to", "q", "--b-lps", "9"])
+    parallel = files.vass1(["p", "q"], "p", [("p", 2, "q"), ("p", -1, "q"),
+                                             ("p", 3, "q"), ("q", -2, "p"),
+                                             ("q", 1, "p"), ("q", -1, "q")])
+    add("parallel semilinear b-lps 8",
+        ["vass1-semilinear", "--instance", parallel, "--to", "q", "--b-lps", "8"])
+    add("zigzag semilinear default b-lps budget 100000",
+        semilinear + ["--node-budget", "100000"])
     return ops
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 # drop_peak and effect are not called here; perfbench/tracing.py patches them
 from .core import VasSystem, Vector, drop_peak, effect, inf_norm, walk
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, InvalidInputError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def steinitz_reorder(vectors: Sequence[Sequence[int]]) -> SteinitzResult:
         raise PreconditionError("steinitz_reorder requires a nonempty input")
     d = len(vecs[0])
     if any(len(v) != d for v in vecs):
-        raise PreconditionError("all vectors must have the same arity")
+        raise InvalidInputError("all vectors must have the same arity")
     k = len(vecs)
     bound = d * max(inf_norm(v) for v in vecs)
 

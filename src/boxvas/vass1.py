@@ -20,11 +20,12 @@ peak of a path.
 The semilinear builder follows the path-scheme characterization: every
 box-reachable value beyond an explicit bound p3 is the effect of a pumped
 scheme alpha beta^k gamma followed by a closing suffix theta (drop 0, peak =
-effect, effect covering the scheme's overshoot).  The enumeration carries
-each part's profile (end state, effect, drop, peak) and keeps one
-representative path per profile: two parts with the same profile yield
-identical linear components, so this preserves the emitted union while
-keeping the search tractable.  The closing-suffix effects of every start
+effect, effect covering the scheme's overshoot).  Parts with one profile (end
+state, effect, drop, peak) yield identical linear components, and paths
+with one profile extend alike, so ``_profiles`` searches level by level,
+keeping per length one path count per profile and one shortest path as
+its representative; the alpha parts are its drop-0 profiles from q0, the
+paths that never go negative.  The closing-suffix effects of every start
 state come from one table of the reversed system, started at the target
 state.  The least base per (period, residue) is found without pairing
 every scheme with every closing suffix: the scheme's effect before theta
@@ -43,6 +44,7 @@ congruence test per component.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -338,29 +340,32 @@ class _Budget:
             raise _partial(err)
 
 
-def _enumerate_paths(
-    sys: Vass1System,
-    start: int,
-    max_len: int,
-    budget: _Budget,
-    nonneg: bool,
-) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
-    """All contiguous paths from state index ``start`` up to ``max_len``
-    transitions (the empty one included), as (path, end state index, effect,
-    drop, peak); with ``nonneg`` only prefixes staying >= 0 are extended."""
-    stack = [((), start, 0, 0, 0)]
-    while stack:
-        item = stack.pop()
-        budget.spend()
-        yield item
-        path, s, value, drop, peak = item
-        if len(path) == max_len:
-            continue
-        for i, w, d in sys.out[s]:
-            v = value + w
-            if nonneg and v < 0:
+def _profiles(
+    sys: Vass1System, start: int, max_len: int, budget: _Budget
+) -> dict[tuple[int, int, int, int], list]:
+    """Per profile (end state index, effect, drop, peak) of the contiguous
+    paths from state index ``start`` with at most ``max_len`` transitions,
+    the empty one included: [a shortest such path, the number of them].
+    Each length keeps one count per profile and charges ``budget`` one unit
+    per path, from the counts."""
+    level = Counter({(start, 0, 0, 0): 1})
+    found = {(start, 0, 0, 0): [(), 0]}
+    for length in range(max_len + 1):
+        budget.spend(sum(level.values()))
+        nxt: Counter = Counter()
+        for key, n in level.items():
+            found[key][1] += n
+            if length == max_len:
                 continue
-            stack.append((path + (i,), d, v, max(drop, -v), max(peak, v)))
+            s, value, drop, peak = key
+            for i, w, d in sys.out[s]:
+                v = value + w
+                step = (d, v, max(drop, -v), max(peak, v))
+                nxt[step] += n
+                if step not in found:
+                    found[step] = [found[key][0] + (i,), 0]
+        level = nxt
+    return found
 
 
 def _simple_cycles_from(
@@ -468,10 +473,12 @@ def build_semilinear(
     Parts are deduplicated by profile; each emitted component is verified by
     walking its smallest induced path.  ``node_budget`` bounds the explicit
     sweep table in cells and, separately, the scheme enumeration in units:
-    one per enumerated path and cycle power, and one per (alpha, beta,
-    gamma front entry, residue of beta's effect) combination, all of which
-    are counted before the sweeps run.  Exceeding either raises a resource
-    error whose ``partial_result`` is an empty set marked partial.
+    one per path of at most ``b_lps`` transitions from each state and once
+    more from ``q0`` if it never goes negative (counted, not walked), one
+    per cycle power, and one per (alpha, beta, gamma front entry, residue
+    of beta's effect) combination, all counted before the sweeps run.
+    Exceeding either raises a resource error whose ``partial_result`` is an
+    empty set marked partial.
     """
     sys.check_state(q0)
     sys.check_state(q_target)
@@ -483,42 +490,34 @@ def build_semilinear(
     norm = sys.norm
     nq = len(sys.states)
 
-    # alpha: nonnegative-prefix paths from q0 (so of drop 0); per end state
-    # and effect only the least peak matters, so keep the first path with it
-    alpha_front: list[dict[int, tuple[int, tuple[int, ...]]]] = [
-        {} for _ in range(nq)
-    ]
-    for path, end, eff, _, peak in _enumerate_paths(
-        sys, sys.index[q0], b_lps, budget, nonneg=True
-    ):
-        cur = alpha_front[end].get(eff)
-        if cur is None or peak < cur[0]:
-            alpha_front[end][eff] = (peak, path)
+    # gamma: arbitrary paths from each state, one per profile
+    gammas = [_profiles(sys, s, b_lps, budget) for s in range(nq)]
+
+    # alpha: paths from q0 that never go negative, i.e. those of drop 0,
+    # charged once more as their own part; per end state and effect only
+    # the least peak matters
+    alpha_front: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(nq)]
+    for (end, eff, drop, peak), (path, n) in gammas[sys.index[q0]].items():
+        if drop == 0:
+            budget.spend(n)
+            cur = alpha_front[end].get(eff)
+            if cur is None or peak < cur[0]:
+                alpha_front[end][eff] = (peak, path)
 
     # beta: powers of simple cycles with positive effect, deduped by
-    # (anchor state, effect, drop, peak)
+    # (anchor state, effect, drop, peak); the powers of every cycle are charged
     betas: list[dict[tuple[int, int, int], tuple[int, ...]]] = [{} for _ in range(nq)]
     for s in range(nq):
         for cyc, eff, drop, peak in _simple_cycles_from(sys, s, budget):
+            budget.spend(b_lps // len(cyc))
+            if eff <= 0:
+                continue
             for reps in range(1, b_lps // len(cyc) + 1):
-                budget.spend()
-                if eff <= 0:
-                    continue
                 # cyc^reps: effect reps * eff, the drop of cyc, and the peak
                 # of its last copy
                 key = (reps * eff, drop, peak + (reps - 1) * eff)
                 if key not in betas[s]:
                     betas[s][key] = cyc * reps
-
-    # gamma: arbitrary paths, deduped by (start, end, effect, drop, peak)
-    gammas: list[dict[tuple[int, int, int, int], tuple[int, ...]]] = [
-        {} for _ in range(nq)
-    ]
-    for s in range(nq):
-        for path, end, eff, drop, peak in _enumerate_paths(
-            sys, s, b_lps, budget, nonneg=False
-        ):
-            gammas[s].setdefault((end, eff, drop, peak), path)
 
     maxover = 0
     for s in range(nq):
@@ -542,7 +541,7 @@ def build_semilinear(
     gamma_front: list[dict[tuple[int, int], list]] = []
     for profs in gammas:
         grouped: dict[tuple[int, int], dict[tuple[int, int, int], tuple]] = {}
-        for (s_g, eff_g, drop_g, peak_g), rep in profs.items():
+        for (s_g, eff_g, drop_g, peak_g), (rep, _) in profs.items():
             grouped.setdefault((s_g, eff_g), {})[(eff_g, drop_g, peak_g)] = rep
         gamma_front.append({key: _pareto2(g) for key, g in grouped.items()})
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from boxvas import (
+    InvalidInputError,
     PreconditionError,
     VasSystem,
     check_steinitz_drop_peak,
@@ -14,6 +15,7 @@ from boxvas import (
     reorder_counts,
     steinitz_reorder,
 )
+from boxvas.cli import run_command
 
 
 def corridor_holds(vectors, perm, bound):
@@ -58,6 +60,13 @@ def test_four_vector_vs_exhaustive():
 def test_empty_input_rejected():
     with pytest.raises(PreconditionError):
         steinitz_reorder([])
+
+
+def test_mixed_arity_is_invalid_input(capsys):
+    with pytest.raises(InvalidInputError, match="same arity"):
+        steinitz_reorder([(1, 2), (3,)])
+    assert run_command(["steinitz", "--vectors", "1,2;3"]) == 2
+    assert "same arity" in capsys.readouterr().err
 
 
 def test_corridor_fuzz():

@@ -328,6 +328,102 @@ def test_build_semilinear_budget_boundary():
     assert exc.value.partial_result.partial
 
 
+def enumerate_paths(sys, start, max_len, budget, nonneg):
+    """All contiguous paths from state index ``start`` up to ``max_len``
+    transitions (the empty one included), as (path, end state index, effect,
+    drop, peak), one budget unit each; with ``nonneg`` only prefixes staying
+    >= 0 are extended.  The path enumeration ``_profiles`` replaced."""
+    stack = [((), start, 0, 0, 0)]
+    while stack:
+        item = stack.pop()
+        budget.spend()
+        yield item
+        path, s, value, drop, peak = item
+        if len(path) == max_len:
+            continue
+        for i, w, d in sys.out[s]:
+            v = value + w
+            if nonneg and v < 0:
+                continue
+            stack.append((path + (i,), d, v, max(drop, -v), max(peak, v)))
+
+
+def check_profiles_against_paths(sys, start, max_len, limit):
+    """``_profiles`` against the path enumeration: the same profiles, the
+    number of paths per profile, a shortest path walking to its profile, and
+    the drop-0 profiles as those of the paths that never go negative.  Both
+    sides charge every path and then every path that never goes negative,
+    and must refuse alike under ``limit``; False if they do."""
+    budget = vass1._Budget(limit)
+    try:
+        found = vass1._profiles(sys, start, max_len, budget)
+        budget.spend(sum(n for key, (_, n) in found.items() if key[2] == 0))
+    except ResourceBudgetError:
+        with pytest.raises(ResourceBudgetError):
+            ref_budget = vass1._Budget(limit)
+            list(enumerate_paths(sys, start, max_len, ref_budget, False))
+            list(enumerate_paths(sys, start, max_len, ref_budget, True))
+        return False
+    paths = list(enumerate_paths(sys, start, max_len, vass1._Budget(limit), False))
+    nonneg = list(enumerate_paths(sys, start, max_len, vass1._Budget(limit), True))
+    assert budget.used == len(paths) + len(nonneg)
+    expected = {}
+    for path, end, eff, drop, peak in paths:
+        count, shortest = expected.get((end, eff, drop, peak), (0, len(path)))
+        expected[(end, eff, drop, peak)] = (count + 1, min(shortest, len(path)))
+    assert found.keys() == expected.keys()
+    for key, (rep, n) in found.items():
+        assert (n, len(rep)) == expected[key], key
+        if rep:
+            src, end, eff, drop, peak = sys.walk(rep)
+            assert src == sys.states[start]
+            assert (sys.index[end], eff, drop, peak) == key
+        else:
+            assert key == (start, 0, 0, 0)
+    drop0 = {key: n for key, (_, n) in found.items() if key[2] == 0}
+    expected0 = {}
+    for _, *key in nonneg:
+        expected0[tuple(key)] = expected0.get(tuple(key), 0) + 1
+    assert drop0 == expected0
+    return True
+
+
+def test_profiles_match_path_enumeration_random():
+    rng = random.Random(2323)
+    checked = 0
+    for _ in range(300):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+        trans = [
+            (rng.choice(states), rng.randint(-3, 3), rng.choice(states))
+            for _ in range(rng.randint(1, 5))
+        ]
+        src, _, dst = rng.choice(trans)  # a parallel transition
+        trans.append((src, rng.randint(-3, 3), dst))
+        sys = Vass1System(states, tuple(trans))
+        start = rng.randrange(len(states))
+        checked += check_profiles_against_paths(sys, start, rng.randint(3, 9), 30_000)
+    assert checked >= 200, checked
+
+
+def test_profiles_match_path_enumeration_zigzag():
+    sys = zigzag_vass()
+    for max_len in (4, 9, 32, 64):
+        for start in range(len(sys.states)):
+            assert check_profiles_against_paths(sys, start, max_len, 10**6)
+
+
+def test_profiles_self_loops():
+    # one state with self-loops -1, 3, -3, 0, 3 at b_lps 9: 5^0 + ... + 5^9
+    # paths, and the 837,048 of them that never go negative
+    sys = Vass1System(("q",), tuple(("q", w, "q") for w in (-1, 3, -3, 0, 3)))
+    budget = vass1._Budget(10**7)
+    found = vass1._profiles(sys, 0, 9, budget)
+    assert (len(found), sum(n for _, n in found.values())) == (1016, 2_441_406)
+    assert budget.used == 2_441_406
+    drop0 = [n for (_, _, drop, _), (_, n) in found.items() if drop == 0]
+    assert (len(drop0), sum(drop0)) == (143, 837_048)
+
+
 def reference_least_bases(alpha_front, beta_front, gamma_front, theta_effs):
     """The combination as one loop over (beta, alpha, gamma front entry,
     residue of beta's effect), taking the least closing effect >= the
