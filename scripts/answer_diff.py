@@ -27,7 +27,12 @@ the lifted systems that ``lift`` prints without ``--target``, bitmap
 shapes (large lifted grids, caps with a zero side, zero generators,
 ``verify-window --margin 0``), and ``vass1-semilinear`` on the zigzag
 fixture (also refused under a small budget), on small random 1-VASS, on
-one state with many self-loops and on parallel transitions.
+one state with many self-loops and on parallel transitions.  Last, every
+command runs in several argv forms: ``--flag value``, ``--flag=value``,
+its flags reversed, its first flag given twice, negative numbers in the
+space form, and an instance file or state name that begins with ``-``.
+The workers run in the sweep's instance directory, so such relative names
+resolve there.
 
 Each worker runs under a 1 GiB address-space limit, and an operation that
 raises instead of returning an exit code is recorded as that exception, so
@@ -44,6 +49,7 @@ import io
 import json
 import random
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -139,6 +145,16 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     with parallel transitions; and zigzag at the default ``--b-lps`` under
     100,000 units, which its path enumeration alone exceeds, so that the
     refusal messages are compared too.
+
+    The argv forms close the sweep.  Each command runs with its flags as
+    ``--flag value``, as ``--flag=value``, in reverse order, and with its
+    first flag given first as ``--flag=unused``, which the later value
+    overrides.  Then the same command with negative numbers in the space
+    form (``--target -1,21``, ``--m -5``, ``--vectors -1,0;1,1;0,2``), most
+    of them refused by the engine or the flag's range, and with the
+    instance ``-ex1.vas`` (a copy of ex1) or ``-two.vass1`` (states ``-p``
+    and ``-q``) and those state names, which a parser that reads a value
+    beginning with ``-`` as a flag rejects.
     """
     sys.path.insert(0, str(perfbench))
     import workloads as wl
@@ -339,6 +355,62 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
         ["vass1-semilinear", "--instance", parallel, "--to", "q", "--b-lps", "8"])
     add("zigzag semilinear default b-lps budget 100000",
         semilinear + ["--node-budget", "100000"])
+
+    # the workers run in `work`, so these relative names, which begin with
+    # "-", are files there
+    shutil.copy(zero[2], work / "-ex1.vas")
+    two = files.vass1(["p", "q"], "p", [("p", 2, "q"), ("q", -1, "p")])
+    Path(files.vass1(["-p", "-q"], "-p", [("-p", 2, "-q"), ("-q", -1, "-p")])).rename(
+        work / "-two.vass1")
+    ex1, vass1 = ("--instance", zero[2]), ("--instance", two)
+    dash_ex1, dash_vass1 = ("--instance", "-ex1.vas"), ("--instance", "-two.vass1")
+    # per command: its flags, the same with negative numbers, and the same
+    # with a file or state name that begins with "-"; --witness takes None
+    forms = [
+        ("decide-box", [ex1, ("--target", "21,21"), ("--node-budget", "100000")],
+         [ex1, ("--target", "-1,21")], [dash_ex1, ("--target", "21,21")]),
+        ("decide-reach", [ex1, ("--target", "11,11"), ("--cap", "12,12"), ("--witness", None)],
+         [ex1, ("--target", "11,11"), ("--cap", "-12,12")],
+         [dash_ex1, ("--target", "11,11"), ("--cap", "12,12"), ("--witness", None)]),
+        ("threshold", [ex1, ("--m", "5"), ("--validate-radius", "6")],
+         [ex1, ("--m", "-5")], [dash_ex1, ("--m", "5")]),
+        ("seed", [ex1], None, [dash_ex1]),
+        ("steinitz", [("--vectors", "1,1;-1,0;0,2")], [("--vectors", "-1,0;1,1;0,2")], None),
+        ("witness", [ex1, ("--target", "702464,702464"), ("--evidence", "coeffs"),
+                     ("--values", "4,4,70246")],
+         [ex1, ("--target", "702464,702464"), ("--evidence", "coeffs"),
+          ("--values", "-4,4,70246")],
+         [dash_ex1, ("--target", "702464,702464"), ("--evidence", "coeffs"),
+          ("--values", "4,4,70246")]),
+        ("lift", [ex1, ("--target", "21,21"), ("--node-budget", "1000000")],
+         [ex1, ("--target", "-21,21")], [dash_ex1, ("--target", "21,21")]),
+        ("verify-window", [ex1, ("--lo", "11,11"), ("--size", "1,1"), ("--margin", "3")],
+         [ex1, ("--lo", "-1,11"), ("--size", "1,1")],
+         [dash_ex1, ("--lo", "11,11"), ("--size", "1,1")]),
+        ("vass1-decide", [vass1, ("--to", "q"), ("--x", "2"), ("--from", "p")],
+         [vass1, ("--to", "q"), ("--x", "-2")],
+         [dash_vass1, ("--to", "-q"), ("--x", "2"), ("--from", "-p")]),
+        ("vass1-semilinear", [vass1, ("--to", "q"), ("--b-lps", "6")],
+         [vass1, ("--to", "q"), ("--b-lps", "-6")], [dash_vass1, ("--to", "-q")]),
+    ]
+
+    def argv(command, flags, joined=False):
+        out = [command]
+        for flag, value in flags:
+            out += [flag] if value is None else [f"{flag}={value}"] if joined else [flag, value]
+        return out
+
+    for command, flags, negative, dashed in forms:
+        add(f"argv {command}", argv(command, flags))
+        add(f"argv {command} --flag=value", argv(command, flags, joined=True))
+        add(f"argv {command} reversed", argv(command, flags[::-1]))
+        first = flags[0][0]  # given twice, the last value wins
+        add(f"argv {command} {first} twice",
+            [command, f"{first}=unused", *argv(command, flags)[1:]])
+        if negative:
+            add(f"argv {command} negative values", argv(command, negative))
+        if dashed:
+            add(f"argv {command} names beginning with -", argv(command, dashed))
     return ops
 
 
@@ -402,7 +474,7 @@ def main(argv=None) -> int:
             side: subprocess.Popen([
                 sys.executable, __file__, "--worker", str(tree / "src"),
                 str(ops_path), str(tmp_path / f"{side}.json"),
-            ])
+            ], cwd=sweep_dir)
             for side, tree in trees.items()
         }
         for side, proc in procs.items():

@@ -6,15 +6,24 @@ lives in the JSON, not the exit code), 2 ``InvalidInputError`` (parse and
 usage errors), 3 ``PreconditionError``, 4 ``ResourceBudgetError``, and 1
 for ``InternalCheckError`` (a failed re-verification, raised where a witness
 is built and checked) or any other toolkit error.
+
+``_parse_args`` reads argv straight from each command's flag table: a
+command name, then flags as ``--flag value`` or ``--flag=value``, full
+names only.  The value is the next token whatever its first character, so
+``--vectors -3,0;5,0`` and ``--instance -a.vas`` need no ``=``.  A flag
+given twice keeps its last value.  An unknown or missing command, an
+unknown flag, a missing value, a value given to ``--witness``, a missing
+required flag, a value its validator or choices reject, or a stray
+positional raises ``InvalidInputError`` (exit 2) with a one-line message
+that names the flag or command.  ``-h``/``--help`` in a flag position
+prints the commands, or the command's flags, to stdout and exits 0.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
-import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from ._search import DEFAULT_NODE_BUDGET
@@ -69,14 +78,14 @@ def _load_instance(path: str) -> InstanceFile:
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise InvalidInputError(f"must be nonnegative, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise InvalidInputError(f"must be positive, got {value}")
     return value
 
 
@@ -92,14 +101,17 @@ def _require_vass1(inst: InstanceFile) -> Vass1System:
     return inst.vass1
 
 
-def _arg(*names, **options):
-    """One flag of a subcommand: the arguments of ``add_argument``."""
-    return names, options
+def _arg(name: str, **options):
+    """One flag of a subcommand: its name, and the ``add_argument`` options
+    that ``_parse_args`` reads: ``required``, ``type``, ``default``,
+    ``choices``, ``dest``, ``action="store_true"`` and ``help``."""
+    return name, options
 
 
 _INSTANCE = _arg("--instance", required=True, help="instance file path")
 # only the commands whose engines read --node-budget take it
-_BUDGET = _arg("--node-budget", type=_nonnegative, default=DEFAULT_NODE_BUDGET)
+_BUDGET = _arg("--node-budget", type=_nonnegative, default=DEFAULT_NODE_BUDGET,
+               help="budget in table cells or enumeration units")
 
 
 class _Command(NamedTuple):
@@ -109,7 +121,7 @@ class _Command(NamedTuple):
     name: str
     purpose: str
     flags: tuple
-    run: Callable[[argparse.Namespace], tuple[dict, str]]
+    run: Callable[[SimpleNamespace], tuple[dict, str]]
 
 
 def _command(name: str, purpose: str, *flags):
@@ -128,7 +140,7 @@ def _decision(decision: bool, witness: Sequence[int] | None) -> tuple[dict, str]
 
 
 @_command("decide-box", "exact box-reachability decision", _INSTANCE, _BUDGET,
-          _arg("--target", required=True))
+          _arg("--target", required=True, help="comma-separated integers"))
 def _decide_box(args):
     vas = _require_vas(_load_instance(args.instance))
     decision, bundle = decide_box_reach(vas, _parse_vector(args.target), args.node_budget)
@@ -136,9 +148,9 @@ def _decide_box(args):
 
 
 @_command("decide-reach", "reachability within a cap box", _INSTANCE, _BUDGET,
-          _arg("--target", required=True),
-          _arg("--cap", required=True),
-          _arg("--witness", action="store_true"))
+          _arg("--target", required=True, help="comma-separated integers"),
+          _arg("--cap", required=True, help="the box [0, cap], comma-separated"),
+          _arg("--witness", action="store_true", help="print a witness path"))
 def _decide_reach(args):
     vas = _require_vas(_load_instance(args.instance))
     decision, bundle = decide_reach_capped(
@@ -150,7 +162,8 @@ def _decide_reach(args):
 
 @_command("threshold", "the threshold W and its case", _INSTANCE,
           _arg("--m", type=int, default=None, help="explicit deep constant"),
-          _arg("--validate-radius", type=_nonnegative, default=None))
+          _arg("--validate-radius", type=_nonnegative, default=None,
+               help="scan deep lattice points up to this radius"))
 def _threshold(args):
     vas = _require_vas(_load_instance(args.instance))
     m = DeepConstant(args.m, "configured") if args.m is not None else None
@@ -201,10 +214,11 @@ def _steinitz(args):
 
 
 @_command("witness", "constructive box-reaching witness", _INSTANCE,
-          _arg("--target", required=True),
-          _arg("--evidence", choices=["coeffs", "path"], required=True),
+          _arg("--target", required=True, help="comma-separated integers"),
+          _arg("--evidence", choices=["coeffs", "path"], required=True,
+               help="what --values holds"),
           _arg("--values", required=True, help="comma-separated integers"),
-          _arg("--m", type=int, default=None))
+          _arg("--m", type=int, default=None, help="explicit deep constant"))
 def _witness(args):
     vas = _require_vas(_load_instance(args.instance))
     target = _parse_vector(args.target)
@@ -228,7 +242,7 @@ def _witness(args):
 
 
 @_command("lift", "dimension-doubling reduction", _INSTANCE, _BUDGET,
-          _arg("--target", default=None))
+          _arg("--target", default=None, help="decide this target through the lift"))
 def _lift(args):
     vas = _require_vas(_load_instance(args.instance))
     lifted = lift_vas(vas)
@@ -246,9 +260,10 @@ def _lift(args):
 
 
 @_command("verify-window", "sweep a window of targets", _INSTANCE, _BUDGET,
-          _arg("--lo", required=True),
-          _arg("--size", required=True),
-          _arg("--margin", type=_nonnegative, default=None))
+          _arg("--lo", required=True, help="lowest corner, comma-separated"),
+          _arg("--size", required=True, help="window extent, comma-separated"),
+          _arg("--margin", type=_nonnegative, default=None,
+               help="cap above each target (default 2 * norm)"))
 def _verify_window(args):
     report = verify_window(
         _require_vas(_load_instance(args.instance)),
@@ -267,9 +282,9 @@ def _verify_window(args):
 
 
 @_command("vass1-decide", "1-VASS box-reachability", _INSTANCE, _BUDGET,
-          _arg("--from", dest="from_state", default=None),
-          _arg("--to", dest="to_state", required=True),
-          _arg("--x", type=_nonnegative, required=True))
+          _arg("--from", dest="from_state", default=None, help="start state (default init)"),
+          _arg("--to", dest="to_state", required=True, help="end state"),
+          _arg("--x", type=_nonnegative, required=True, help="counter value and box bound"))
 def _vass1_decide(args):
     inst = _load_instance(args.instance)
     q0 = args.from_state if args.from_state is not None else inst.init_state
@@ -279,8 +294,9 @@ def _vass1_decide(args):
 
 
 @_command("vass1-semilinear", "semilinear box-reachability set", _INSTANCE, _BUDGET,
-          _arg("--to", dest="to_state", required=True),
-          _arg("--b-lps", dest="b_lps", type=_positive, default=None))
+          _arg("--to", dest="to_state", required=True, help="end state"),
+          _arg("--b-lps", dest="b_lps", type=_positive, default=None,
+               help="path-scheme length bound (default heuristic)"))
 def _vass1_semilinear(args):
     inst = _load_instance(args.instance)
     semi, bounds = build_semilinear(
@@ -310,46 +326,95 @@ def _vass1_semilinear(args):
     return result, summary
 
 
-@functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser unchanged and
-    # returns a fresh namespace, so calls share nothing
-    parser = argparse.ArgumentParser(
-        prog="boxvas",
-        description="Box-reachability toolkit for vector addition systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = (_decide_box, _decide_reach, _threshold, _seed, _steinitz, _witness,
-                _lift, _verify_window, _vass1_decide, _vass1_semilinear)
-    for command in commands:
-        p = sub.add_parser(command.name, help=command.purpose)
-        for names, options in command.flags:
-            p.add_argument(*names, **options)
-        p.set_defaults(run=command.run)
-    return parser
+_COMMANDS = {command.name: command for command in (
+    _decide_box, _decide_reach, _threshold, _seed, _steinitz, _witness,
+    _lift, _verify_window, _vass1_decide, _vass1_semilinear,
+)}
+_HELP = ("-h", "--help")
 
 
-def _attach_negative_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--opt -3,0`` as ``--opt=-3,0``: argparse takes a value that
-    starts with ``-`` for an option unless it is a plain negative number."""
-    out: list[str] = []
-    for tok in argv:
-        prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and re.match(r"-\d", tok):
-            out[-1] = f"{prev}={tok}"
-        else:
-            out.append(tok)
-    return out
+def _help(command: _Command | None) -> str:
+    """The command list, or the flags of ``command``, for ``--help``."""
+    if command is None:
+        lines = ["usage: boxvas COMMAND [--flag value | --flag=value ...]",
+                 "Box-reachability toolkit for vector addition systems", "", "commands:"]
+        lines += [f"  {c.name:<18}{c.purpose}" for c in _COMMANDS.values()]
+        lines += ["", "'boxvas COMMAND --help' lists the flags of COMMAND"]
+        return "\n".join(lines)
+    lines = [f"usage: boxvas {command.name} [--flag value | --flag=value ...]",
+             command.purpose, "", "flags:"]
+    for name, options in command.flags:
+        notes = [f"one of {', '.join(options['choices'])}"] if "choices" in options else []
+        if options.get("required"):
+            notes.append("required")
+        elif options.get("default") is not None:
+            notes.append(f"default {options['default']}")
+        text = options.get("help", "") + (f" ({'; '.join(notes)})" if notes else "")
+        lines.append(f"  {name:<18}{text}")
+    return "\n".join(lines)
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The command of ``argv`` as ``command`` and ``run``, and its flag values
+    under their ``dest`` names; None once ``--help`` is printed.  Raises
+    ``InvalidInputError`` for every usage error (see the module docstring)."""
+    if not argv:
+        raise InvalidInputError(f"missing command: one of {', '.join(_COMMANDS)}")
+    if argv[0] in _HELP:
+        print(_help(None))
+        return None
+    command = _COMMANDS.get(argv[0])
+    if command is None:
+        raise InvalidInputError(f"unknown command {argv[0]!r}: one of {', '.join(_COMMANDS)}")
+    flags = dict(command.flags)
+    given: dict[str, str | bool] = {}  # the last value of each flag wins
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            return None
+        name, has_value, value = token.partition("=")
+        options = flags.get(name)
+        if options is None:
+            if token.startswith("-"):
+                raise InvalidInputError(f"{command.name}: unknown flag {name}")
+            raise InvalidInputError(f"{command.name}: stray argument {token!r}")
+        if options.get("action") == "store_true":
+            if has_value:
+                raise InvalidInputError(f"{name}: takes no value, got {value!r}")
+            value = True
+        elif not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise InvalidInputError(f"{name}: missing value")
+        given[name] = value
+    values = {"command": command.name, "run": command.run}
+    for name, options in command.flags:
+        value = given.get(name)
+        if value is None:
+            if options.get("required"):
+                raise InvalidInputError(f"{command.name}: missing required flag {name}")
+            value = False if options.get("action") == "store_true" else options.get("default")
+        elif "type" in options:
+            try:
+                value = options["type"](value)
+            except InvalidInputError as e:
+                raise InvalidInputError(f"{name}: {e}")
+            except ValueError:
+                raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
+        elif "choices" in options and value not in options["choices"]:
+            raise InvalidInputError(
+                f"{name}: must be one of {', '.join(options['choices'])}, got {value!r}")
+        values[options.get("dest", name[2:].replace("-", "_"))] = value
+    return SimpleNamespace(**values)
 
 
 def run_command(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    started = time.monotonic()
-    try:
+        args = _parse_args(argv)
+        if args is None:
+            return EXIT_OK
+        started = time.monotonic()
         result, summary = args.run(args)
     except InvalidInputError as e:
         print(str(e), file=sys.stderr)

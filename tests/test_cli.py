@@ -233,6 +233,17 @@ def test_cli_steinitz(capsys):
         assert env["result"]["verified"] is True
 
 
+def test_cli_value_may_begin_with_a_dash(tmp_path, monkeypatch, capsys):
+    # the value of a flag is the next token, whatever its first character;
+    # steinitz's -3,0;5,0 in the space form is in test_cli_steinitz
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-a.vas").write_text(EX1_TEXT)
+    code, env, _ = run_json(capsys, ["decide-box", "--instance", "-a.vas", "--target", "1,1"])
+    assert (code, env["result"]) == (0, {"decision": False})
+    code, env, _ = run_json(capsys, ["decide-box", "--instance", "-a.vas", "--target", "21,21"])
+    assert (code, env["result"]["witness"]) == (0, [2, 0, 1, 2])
+
+
 def test_cli_seed(ex1_file, capsys):
     code, env, _ = run_json(capsys, ["seed", "--instance", ex1_file])
     assert code == 0
