@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import countOf
 from typing import Sequence
 
 from ._search import (
@@ -186,7 +187,7 @@ def decide_reach_capped(
     table over ``node_budget`` is refused whatever the nonzero target.
     """
     t = check_target(target, vas.dim)
-    c = check_target(cap, vas.dim)
+    c = check_target(cap, vas.dim, "cap")
     if not all(x <= y for x, y in zip(t, c)):
         raise PreconditionError(f"target {t} exceeds cap {c}")
     if not any(t):
@@ -445,9 +446,7 @@ def synthesize_box_witness(
             raise PreconditionError("evidence path does not end at the target")
         if any(evidence.drop):
             raise PreconditionError("evidence path leaves the nonnegative quadrant")
-        counts = [0] * len(vas.generators)
-        for i in evidence.indices:
-            counts[i] += 1
+        counts = [countOf(evidence.indices, i) for i in range(len(vas.generators))]
 
     report, cone = _threshold(vas, m)
     if report.degenerate:
@@ -551,8 +550,8 @@ def verify_window(
     whose grids exceed the node budget are listed as skipped.
     """
     _require_dim2(vas)
-    lo = check_target(window_lo, 2)
-    size = check_target(window_size, 2)
+    lo = check_target(window_lo, 2, "window lo")
+    size = check_target(window_size, 2, "window size")
     margin = cap_margin if cap_margin is not None else 2 * vas.norm
     if margin < 0:
         raise PreconditionError("cap_margin must be nonnegative")

@@ -153,13 +153,14 @@ def is_box_reaching_trace(vas: VasSystem, path: Sequence[int], target: Vector) -
     return PathRecord.record(vas, path).box_reaches(target)
 
 
-def check_target(target: Sequence[int], dim: int) -> Vector:
-    """Validate a target vector: correct arity, nonnegative integer entries."""
+def check_target(target: Sequence[int], dim: int, name: str = "target") -> Vector:
+    """Validate a target vector, or the vector ``name`` that errors call it:
+    correct arity, nonnegative integer entries."""
     t = tuple(int(x) for x in target)
     if len(t) != dim:
-        raise InvalidInputError(f"target {t} does not have {dim} entries")
+        raise InvalidInputError(f"{name} {t} does not have {dim} entries")
     if any(x < 0 for x in t):
-        raise InvalidInputError(f"target {t} has a negative entry")
+        raise InvalidInputError(f"{name} {t} has a negative entry")
     return t
 
 

@@ -523,10 +523,17 @@ def ditc_falsification_scan(
     undecided: list[Vector] = []
     checked = 0
     for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
+        # the m-deep points of column x: a*x + b*y >= m for each facet (a, b)
+        lo, hi = -radius, radius
+        for a, b in cone.facets:
+            if b > 0:
+                lo = max(lo, -((a * x - m) // b))
+            elif b < 0:
+                hi = min(hi, (a * x - m) // -b)
+            elif a * x < m:
+                hi = lo - 1
+        for y in range(lo, hi + 1):
             v = (x, y)
-            if not is_m_deep(cone, v, m):
-                continue
             if not search.lattice.contains(v):
                 continue
             checked += 1

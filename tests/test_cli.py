@@ -416,6 +416,26 @@ def test_cli_negative_node_budget_is_a_usage_error(ex1_file, vass1_file, capsys)
         assert word in err, argv
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["decide-reach", "--target", "11,11", "--cap", "-12,12"],
+         "cap (-12, 12) has a negative entry"),
+        (["decide-reach", "--target", "11,11", "--cap", "12,12,12"],
+         "cap (12, 12, 12) does not have 2 entries"),
+        (["decide-reach", "--target", "-11,11", "--cap", "12,12"],
+         "target (-11, 11) has a negative entry"),
+        (["verify-window", "--lo", "-1,0", "--size", "1,1"],
+         "window lo (-1, 0) has a negative entry"),
+        (["verify-window", "--lo", "0,0", "--size", "1,-1"],
+         "window size (1, -1) has a negative entry"),
+    ],
+)
+def test_cli_vector_errors_name_their_flag(ex1_file, capsys, flags, message):
+    argv = flags[:1] + ["--instance", ex1_file] + flags[1:]
+    assert run_json(capsys, argv) == (2, None, message + "\n")
+
+
 def test_cli_node_budget_only_where_an_engine_reads_it(ex1_file, capsys):
     for cmd in ("threshold", "seed"):
         argv = [cmd, "--instance", ex1_file]

@@ -421,6 +421,35 @@ def test_ditc_scan_direct():
     assert report.deep_lattice_points == 4  # even points of [0,3]^2
 
 
+def per_point_scan(vas, m, radius):
+    """The scan tested point by point: (counterexamples, undecided, count)."""
+    cone = cone_from_generators(vas)
+    bad, undecided, checked = [], [], 0
+    for v in itertools.product(range(-radius, radius + 1), repeat=2):
+        if not is_m_deep(cone, v, m) or not lattice_member(vas, v):
+            continue
+        checked += 1
+        status = int_cone_member(vas, v).status
+        if status is Membership.NON_MEMBER:
+            bad.append(v)
+        elif status is Membership.UNDECIDED:
+            undecided.append(v)
+    return tuple(bad), tuple(undecided), checked
+
+
+def test_ditc_scan_matches_per_point_scan():
+    rng = random.Random(31)
+    systems = [random_vas(rng, 2, 4, 4) for _ in range(60)]
+    # a ray, a line, the zero system and an axis-parallel facet (b = 0)
+    systems += [VasSystem(2, g) for g in (((1, 2), (2, 4)), ((1, -1), (-2, 2)),
+                                          ((0, 0),), ((1, 0), (-1, 0), (1, 1)))]
+    for vas in systems:
+        m, radius = rng.randint(-5, 20), rng.randint(0, 6)
+        report = ditc_falsification_scan(vas, m, radius)
+        got = (report.counterexamples, report.undecided, report.deep_lattice_points)
+        assert got == per_point_scan(vas, m, radius), (vas, m, radius)
+
+
 def test_seed_example1(ex1):
     seed = compute_seed(ex1)
     assert seed.s == (10, 10)

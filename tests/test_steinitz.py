@@ -16,6 +16,12 @@ from boxvas import (
     steinitz_reorder,
 )
 from boxvas.cli import run_command
+from boxvas.steinitz import (
+    _cofactor_kernel,
+    _kernel_vector,
+    _verify_corridor,
+    _window_kernel,
+)
 
 
 def corridor_holds(vectors, perm, bound):
@@ -81,6 +87,80 @@ def test_corridor_fuzz():
         assert sorted(res.permutation) == list(range(k))
         bound = 2 * max(inf_norm(v) for v in vecs)
         assert corridor_holds(vecs, res.permutation, bound)
+
+
+SHAPES = ("random", "repeated", "collinear", "zeros")
+
+
+def random_multiset(rng, d, k, shape):
+    """k vectors in d dimensions; every shape but "random" makes windows of
+    rank below d + 1 common: repeated vectors, multiples of one direction,
+    or half of them zero."""
+    if shape == "repeated":
+        pool = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(3)]
+        return [rng.choice(pool) for _ in range(k)]
+    if shape == "collinear":
+        u = tuple(rng.randint(-3, 3) for _ in range(d))
+        return [tuple(a * x for x in u) for a in (rng.randint(-3, 3) for _ in range(k))]
+    vecs = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(k)]
+    if shape == "zeros":
+        for i in rng.sample(range(k), k // 2):
+            vecs[i] = (0,) * d
+    return vecs
+
+
+def test_window_corridor_on_random_multisets():
+    rng = random.Random(25)
+    cases = [(rng.randint(1, 25), 1 + n % 3, rng.choice(SHAPES)) for n in range(90)]
+    cases += [(80, 2, shape) for shape in SHAPES] + [(80, 1, "random"), (40, 3, "random")]
+    for k, d, shape in cases:
+        vecs = random_multiset(rng, d, k, shape)
+        res = steinitz_reorder(vecs)
+        assert sorted(res.permutation) == list(range(k)), vecs
+        assert res.corridor_bound == d * max(inf_norm(v) for v in vecs)
+        assert _verify_corridor(vecs, res.permutation, res.corridor_bound), vecs
+        assert corridor_holds(vecs, res.permutation, res.corridor_bound), vecs
+
+
+def window_matrix(cols):
+    return [[1] * len(cols)] + [[v[c] for v in cols] for c in range(len(cols[0]))]
+
+
+def test_cofactor_kernel_parallel_to_elimination():
+    rng = random.Random(7)
+    full_rank = 0
+    while full_rank < 300:
+        d = rng.randint(1, 3)
+        cols = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d + 2)]
+        rows = [[Fraction(x) for x in row] for row in window_matrix(cols)]
+        elim = _kernel_vector(rows, d + 2)
+        cof = _cofactor_kernel(cols)
+        if not any(cof):
+            continue
+        full_rank += 1
+        j = next(j for j, x in enumerate(cof) if x)
+        scale = Fraction(elim[j], cof[j])
+        assert scale and [scale * x for x in cof] == elim, cols
+
+
+def test_window_kernel_on_rank_deficient_windows():
+    rng = random.Random(8)
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        cols = random_multiset(rng, d, d + 2, rng.choice(SHAPES))
+        nu = _window_kernel(cols)
+        assert any(nu)
+        for row in window_matrix(cols):
+            assert sum(a * x for a, x in zip(row, nu)) == 0, cols
+        if len(set(cols)) < len(cols):
+            assert sorted(nu) == [-1] + [0] * d + [1]
+    # collinear distinct columns: every cofactor vanishes
+    cols = [(1, 2), (2, 4), (-1, -2), (0, 0)]
+    assert not any(_cofactor_kernel(cols))
+    nu = _window_kernel(cols)
+    assert any(nu) and all(
+        sum(a * x for a, x in zip(row, nu)) == 0 for row in window_matrix(cols)
+    )
 
 
 def test_drop_peak_bounds_on_reordered_paths():
