@@ -7,9 +7,10 @@ operations of HEAD's ``perfbench/workloads.py`` (which it imports but does
 not change), with their instance files in a temporary directory.  It then
 runs each operation through ``boxvas.cli.run_command`` in ``git archive``
 snapshots of ``--parent`` and of HEAD, one worker process per snapshot, and
-compares the exit code, the envelope's ``result`` and the stderr summary
-line (the timing and the echoed budget are not answers).  It lists every
-operation whose exit code, result or summary differs.  A ``steinitz``
+compares the exit code, the envelope's ``result`` and the last stderr
+line: the summary of an answer, or the message of an error (the timing and
+the echoed budget are not answers).  It lists every operation whose exit
+code, result or last stderr line differs.  A ``steinitz``
 operation whose two permutations both pass HEAD's
 ``perfbench/checkers.check_steinitz`` is listed as "permutation changed,
 both accepted", because any permutation in the corridor is a right answer.
@@ -443,8 +444,8 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
 
 def run_ops(src: str, ops_path: str, out_path: str) -> None:
     """Worker: run every operation in one process with ``src`` first on the
-    path, and write (exit code, result, summary) per operation; the summary
-    is the last stderr line of an operation that exits 0."""
+    path, and write (exit code, result, last stderr line) per operation,
+    whatever the exit code."""
     sys.path.insert(0, src)
     from boxvas.cli import run_command
 
@@ -460,12 +461,13 @@ def run_ops(src: str, ops_path: str, out_path: str) -> None:
             answers.append([f"raised {type(e).__name__}", None, None])
             continue
         result = json.loads(out.getvalue())["result"] if code == 0 else None
-        summary = err.getvalue().splitlines()[-1] if code == 0 else None
+        lines = err.getvalue().splitlines()
+        last = lines[-1] if lines else None
         if result is not None and len(result.get("witness", ())) > LONG_WITNESS:
             path = json.dumps(result["witness"]).encode()
             result["witness"] = f"{len(result['witness'])} steps, sha256 " + \
                 hashlib.sha256(path).hexdigest()
-        answers.append([code, result, summary])
+        answers.append([code, result, last])
     Path(out_path).write_text(json.dumps(answers), encoding="utf-8")
 
 

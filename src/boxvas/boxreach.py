@@ -409,10 +409,9 @@ def synthesize_box_witness(
     ``DEFAULT_INT_CONE_BUDGET`` steps remain, so the witness is exactly as
     long as the evidence (``rho_source`` "evidence").  Otherwise it falls
     back to a fresh ``int_cone_member`` solve for r (``rho_source``
-    "integer-cone"), whose coefficients take the fewest steps off a proper
-    cone's extremal pair and are least-length for the other shapes, and
-    which raises ``ResourceBudgetError`` when that solve is UNDECIDED; the
-    cap keeps coefficients of cancelling generators, which a
+    "integer-cone"), whose coefficients are least-length for every cone
+    shape, and which raises ``ResourceBudgetError`` when that solve is
+    UNDECIDED; the cap keeps coefficients of cancelling generators, which a
     fixed target does not bound, from setting the witness length.  The
     result is re-verified before being returned; a constructed path that
     fails the check raises ``InternalCheckError`` on either route, with no

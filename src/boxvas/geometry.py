@@ -13,7 +13,7 @@ degrees clockwise of the counterclockwise-most one.  With no clockwise-most
 direction the cone is the full plane, with two (opposite) ones a line;
 opposite boundary directions bound a half-plane, any others a pointed cone.
 Integer-cone membership is one search for every cone shape: the non-basic
-coefficients of an LP basis, in a box that the facets and a determinant or
+coefficients of a least-length LP basis, in a box that the facets and a
 proximity bound cap, walked in order of their cost.
 """
 from __future__ import annotations
@@ -336,8 +336,7 @@ class _Basis:
     linear span has the coefficients ``dot(row, w) / denom``, one per row
     (Cramer's rule, denom > 0).  ``costs[k]`` is denom times the reduced
     cost of the non-basic generator ``others[k]``: how much one copy of it
-    lengthens the solution that the basis completes (1 per step instead
-    for a proper cone's extremal pair).
+    lengthens the solution that the basis completes.
     """
 
     indices: tuple[int, ...]
@@ -381,24 +380,6 @@ def _dual_feasible_bases(gens: tuple[Vector, ...]) -> tuple[tuple[_Basis, ...], 
     return tuple(bases), len(nonzero) * delta
 
 
-def _extremal_basis(
-    gens: tuple[Vector, ...], chi1: Vector, chi2: Vector
-) -> tuple[tuple[_Basis, ...], int]:
-    """A proper cone's first generators along chi1 and chi2, at cost 1 per
-    other step, and the bound D - 1.  D = |det| copies of any generator are
-    a nonnegative integer combination of the two, so a solution with the
-    fewest other steps keeps each below D."""
-    nonzero = [i for i, g in enumerate(gens) if g != (0, 0)]
-    # a pointed cone holds no generator opposite an extremal
-    i, j = (_on_line(gens, chi)[0] for chi in (chi1, chi2))
-    (a, b), (c, d) = gens[i], gens[j]
-    s = 1 if a * d - b * c > 0 else -1
-    others = tuple(k for k in nonzero if k not in (i, j))
-    rows = ((s * d, -s * c), (-s * b, s * a))
-    denom = s * (a * d - b * c)
-    return (_Basis((i, j), rows, denom, others, (1,) * len(others)),), denom - 1
-
-
 def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The points of the box [0, caps] in nondecreasing order of
     sum(costs[k] * c[k]), for nonnegative costs.
@@ -421,26 +402,22 @@ def _cost_order(costs: Sequence[int], caps: Sequence[int]) -> Iterator[tuple[int
 
 
 class _IntConeSearch:
-    """Membership of points v, searched around the extremal pair of a proper
-    cone or else an optimal LP basis; the lattice echelon and the bases are
-    prepared once per system.
+    """Membership of points v, searched around an optimal basis of the LP
+    min sum(c); the lattice echelon and the bases are prepared once per
+    system, whatever the cone's shape.
 
-    Each non-basic coefficient is capped by |det| - 1 or the proximity
-    bound and, for every facet f with f.g > 0, by floor(f.v / f.g); some
-    solution with the fewest steps off the pair, or least length, lies in
-    that box.  The box is walked in order of its total cost, so the first
-    point whose basic coefficients come out integral and nonnegative is
-    one, and an exhausted box proves that v is no member.
+    Each non-basic coefficient is capped by the proximity bound and, for
+    every facet f with f.g > 0, by floor(f.v / f.g); some least-length
+    solution lies in that box.  The box is walked in order of its total
+    cost, so the first point whose basic coefficients come out integral and
+    nonnegative is one, and an exhausted box proves that v is no member.
     """
 
     def __init__(self, vas: VasSystem, cone: ConeData):
         self.gens = vas.generators
         self.cone = cone
         self.lattice = _LatticeSolver(self.gens)
-        if cone.kind is ConeKind.PROPER_CONE:
-            self.bases, self.bound = _extremal_basis(self.gens, cone.chi1, cone.chi2)
-        else:
-            self.bases, self.bound = _dual_feasible_bases(self.gens)
+        self.bases, self.bound = _dual_feasible_bases(self.gens)
 
     def member(self, v: Vector) -> IntConeResult:
         gens = self.gens
@@ -455,7 +432,7 @@ class _IntConeSearch:
         else:
             # some dual-feasible basis is primal-feasible if the LP is
             # feasible, so v is outside the real cone (only a ray's facets
-            # let it pass); a proper cone's extremal pair spans its cone
+            # let it pass)
             return IntConeResult(Membership.NON_MEMBER)
         caps = []
         for k in basis.others:
@@ -493,10 +470,8 @@ def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
 
     Returns MEMBER with reproducing coefficients, NON_MEMBER, or UNDECIDED
     when the search walked ``DEFAULT_INT_CONE_BUDGET`` candidate points
-    without an answer.  In a proper cone the coefficients take the fewest
-    steps off the extremal pair, so their total follows v's coordinates
-    along the extremal rays, not the cone's inner shortcuts; otherwise
-    they are least-length.
+    without an answer.  The coefficients are least-length: no nonnegative
+    integer combination summing to v has a smaller total.
     """
     _require_dim2(vas)
     search = _IntConeSearch(vas, cone_from_generators(vas))

@@ -15,15 +15,16 @@ split), and dropping that index keeps the next level feasible.
 
 Purification works on a window of d + 2 fractional coordinates at a time.
 Any d + 2 columns [1; v_i] of the (d+1)-row system are dependent, so the
-window has a kernel vector: e_a - e_b when two of its vectors are equal,
-else the integer (d+1)x(d+1) cofactors of its columns, else (rank below
-d + 1) a ``Fraction`` elimination over the window alone.  The point moves
-along it until a window coordinate reaches 0 or 1, and the window refills
-from the other fractional coordinates; purification stops when at most
-d + 1 are left.  A step costs d + 2 fraction-free determinants of order
-d + 1 instead of a ``Fraction`` elimination over every fractional
-coordinate, and a level of t coordinates takes at most t - d - 1 steps, so
-the reorder takes fewer than k^2 / 2 of them.
+window has an integer kernel vector: e_a - e_b when two of its vectors
+are equal, else the cofactors of r independent rows of the window and
+r + 1 of its columns of rank r on them, where r <= d + 1 is the window's
+rank.  The point moves along it until a window coordinate reaches 0 or 1,
+and the window refills from the other fractional coordinates; purification
+stops when at most d + 1 are left.  A step at full rank costs d + 2
+fraction-free determinants of order d + 1 instead of a ``Fraction``
+elimination over every fractional coordinate, and a level of t coordinates
+takes at most t - d - 1 steps, so the reorder takes fewer than k^2 / 2 of
+them.
 
 ``reorder_counts`` orders a multiset given as per-generator counts, the form
 witness synthesis produces, with a largest-deficit proportional schedule:
@@ -55,44 +56,16 @@ class SteinitzResult:
     verified: bool
 
 
-def _kernel_vector(
-    rows: list[list[Fraction]], cols: int
-) -> list[Fraction] | None:
-    """A nonzero vector in the nullspace of the given row system, or None."""
-    if cols == 0:
-        return None
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * cols
-    vec[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        vec[pc] = -mat[i][fc]
-    return vec
-
-
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination, in which every division is exact."""
+    """Determinant of a square integer matrix: in closed form at order 2 and
+    3, else by fraction-free (Bareiss) elimination, in which every division
+    is exact."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [row[:] for row in rows]
     n = len(m)
     sign, prev = 1, 1
@@ -113,19 +86,21 @@ def _det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _cofactor_kernel(cols: Sequence[Vector]) -> list[int]:
-    """The signed (d+1)x(d+1) minors of the d + 2 columns [1; v]: a kernel
-    vector of them, zero exactly when their rank is below d + 1."""
-    full = [[1, *v] for v in cols]
+def _cofactor_kernel(cols: Sequence[Sequence[int]]) -> list[int]:
+    """The signed r x r minors of r + 1 integer columns of r entries each: a
+    kernel vector of them, zero exactly when their rank is below r."""
     return [
-        (-1) ** j * _det(full[:j] + full[j + 1:]) for j in range(len(full))
+        (-1) ** j * _det([*cols[:j], *cols[j + 1:]]) for j in range(len(cols))
     ]
 
 
-def _window_kernel(cols: Sequence[Vector]) -> Sequence[int | Fraction]:
-    """A nonzero kernel vector of the d + 2 columns [1; v], which d + 1 rows
-    always leave dependent: e_a - e_b for two equal columns, else their
-    cofactors, else (rank below d + 1) an elimination over the window."""
+def _window_kernel(cols: Sequence[Vector]) -> list[int]:
+    """A nonzero integer kernel vector of the d + 2 columns [1; v], which
+    d + 1 rows always leave dependent: e_a - e_b for two equal columns, else
+    the cofactors of r independent rows and r + 1 columns of rank r on them,
+    padded with zeros, where r is the window's rank.  The other rows are
+    combinations of the chosen ones, so they vanish on it too.  Full rank,
+    r = d + 1, takes every row and column."""
     first: dict[Vector, int] = {}
     for j, v in enumerate(cols):
         if v in first:
@@ -133,15 +108,27 @@ def _window_kernel(cols: Sequence[Vector]) -> Sequence[int | Fraction]:
             nu[first[v]], nu[j] = 1, -1
             return nu
         first[v] = j
-    nu = _cofactor_kernel(cols)
+    full = [[1, *v] for v in cols]
+    nu = _cofactor_kernel(full)
     if any(nu):
         return nu
-    rows = [[Fraction(1)] * len(cols)]
-    rows += [[Fraction(v[c]) for v in cols] for c in range(len(cols[0]))]
-    kernel = _kernel_vector(rows, len(cols))
-    if kernel is None:
-        raise InternalCheckError("no kernel vector on a window of d + 2 columns")
-    return kernel
+    # the rank is at most d: grow a nonsingular minor from the ones row and
+    # the first column, to at most d rows; a row independent of the rows
+    # chosen so far extends it by some column
+    d = len(cols[0])
+    rows, js = [0], [0]
+    for i in range(1, d + 1):
+        if len(rows) == d:
+            break
+        for j in (j for j in range(1, len(full)) if j not in js):
+            if _det([[full[x][k] for k in rows + [i]] for x in js + [j]]):
+                rows.append(i)
+                js.append(j)
+                break
+    js = sorted(js + [next(j for j in range(len(full)) if j not in js)])
+    for j, x in zip(js, _cofactor_kernel([[full[j][k] for k in rows] for j in js])):
+        nu[j] = x
+    return nu
 
 
 def _purify(

@@ -18,7 +18,6 @@ from boxvas import (
 from boxvas.cli import run_command
 from boxvas.steinitz import (
     _cofactor_kernel,
-    _kernel_vector,
     _verify_corridor,
     _window_kernel,
 )
@@ -127,14 +126,44 @@ def window_matrix(cols):
 
 
 def test_cofactor_kernel_parallel_to_elimination():
+    def kernel_vector(rows, cols):
+        """A nonzero vector in the nullspace of the given row system, by
+        Gauss-Jordan elimination over the rationals, or None."""
+        mat = [row[:] for row in rows]
+        pivots = []
+        r = 0
+        for c in range(cols):
+            pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+            if pivot is None:
+                continue
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            inv = 1 / mat[r][c]
+            mat[r] = [x * inv for x in mat[r]]
+            for i in range(len(mat)):
+                if i != r and mat[i][c] != 0:
+                    f = mat[i][c]
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            pivots.append(c)
+            r += 1
+            if r == len(mat):
+                break
+        free = [c for c in range(cols) if c not in pivots]
+        if not free:
+            return None
+        vec = [Fraction(0)] * cols
+        vec[free[0]] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][free[0]]
+        return vec
+
     rng = random.Random(7)
     full_rank = 0
     while full_rank < 300:
         d = rng.randint(1, 3)
         cols = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d + 2)]
         rows = [[Fraction(x) for x in row] for row in window_matrix(cols)]
-        elim = _kernel_vector(rows, d + 2)
-        cof = _cofactor_kernel(cols)
+        elim = kernel_vector(rows, d + 2)
+        cof = _cofactor_kernel([(1, *v) for v in cols])
         if not any(cof):
             continue
         full_rank += 1
@@ -154,13 +183,19 @@ def test_window_kernel_on_rank_deficient_windows():
             assert sum(a * x for a, x in zip(row, nu)) == 0, cols
         if len(set(cols)) < len(cols):
             assert sorted(nu) == [-1] + [0] * d + [1]
-    # collinear distinct columns: every cofactor vanishes
-    cols = [(1, 2), (2, 4), (-1, -2), (0, 0)]
-    assert not any(_cofactor_kernel(cols))
-    nu = _window_kernel(cols)
-    assert any(nu) and all(
-        sum(a * x for a, x in zip(row, nu)) == 0 for row in window_matrix(cols)
-    )
+    # distinct columns whose every cofactor vanishes: collinear, on a line
+    # x = 2 (the first coordinate row depends on the ones row), and 3-D
+    # points on the plane y = 0 (a zero row between two independent ones)
+    for cols in (
+        [(1, 2), (2, 4), (-1, -2), (0, 0)],
+        [(2, 1), (2, 3), (2, 5), (2, 7)],
+        [(1, 0, 5), (2, 0, 3), (3, 0, 1), (0, 0, 2), (5, 0, 0)],
+    ):
+        assert not any(_cofactor_kernel([(1, *v) for v in cols]))
+        nu = _window_kernel(cols)
+        assert any(nu) and all(
+            sum(a * x for a, x in zip(row, nu)) == 0 for row in window_matrix(cols)
+        ), cols
 
 
 def test_drop_peak_bounds_on_reordered_paths():
