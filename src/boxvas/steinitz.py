@@ -16,15 +16,15 @@ split), and dropping that index keeps the next level feasible.
 Purification works on a window of d + 2 fractional coordinates at a time.
 Any d + 2 columns [1; v_i] of the (d+1)-row system are dependent, so the
 window has an integer kernel vector: e_a - e_b when two of its vectors
-are equal, else the cofactors of r independent rows of the window and
-r + 1 of its columns of rank r on them, where r <= d + 1 is the window's
-rank.  The point moves along it until a window coordinate reaches 0 or 1,
-and the window refills from the other fractional coordinates; purification
-stops when at most d + 1 are left.  A step at full rank costs d + 2
-fraction-free determinants of order d + 1 instead of a ``Fraction``
-elimination over every fractional coordinate, and a level of t coordinates
-takes at most t - d - 1 steps, so the reorder takes fewer than k^2 / 2 of
-them.
+are equal, else one read off the cofactors of r independent rows and
+r + 1 columns of rank r of the differences v_j - v_0, where r <= d is
+their rank.  The point moves along it until a window coordinate reaches 0
+or 1, and the window refills from the other fractional coordinates;
+purification stops when at most d + 1 are left.  A step at full rank costs
+d + 1 determinants of order d, in closed form up to d = 3, instead of a
+``Fraction`` elimination over every fractional coordinate, and a level of
+t coordinates takes at most t - d - 1 steps, so the reorder takes fewer
+than k^2 / 2 of them.
 
 ``reorder_counts`` orders a multiset given as per-generator counts, the form
 witness synthesis produces, with a largest-deficit proportional schedule:
@@ -97,10 +97,12 @@ def _cofactor_kernel(cols: Sequence[Sequence[int]]) -> list[int]:
 def _window_kernel(cols: Sequence[Vector]) -> list[int]:
     """A nonzero integer kernel vector of the d + 2 columns [1; v], which
     d + 1 rows always leave dependent: e_a - e_b for two equal columns, else
-    the cofactors of r independent rows and r + 1 columns of rank r on them,
-    padded with zeros, where r is the window's rank.  The other rows are
-    combinations of the chosen ones, so they vanish on it too.  Full rank,
-    r = d + 1, takes every row and column."""
+    (sum(mu), -mu) for a kernel vector mu of the d x (d + 1) differences
+    w_j = v_j - v_0.  mu is the cofactors of r independent rows of them and
+    r + 1 columns of rank r on those rows, padded with zeros, where r is
+    their rank; the other rows are combinations of the chosen ones, so they
+    vanish on mu too.  Full rank, r = d, takes every row and column, and
+    gives the cofactors of the columns [1; v] themselves."""
     first: dict[Vector, int] = {}
     for j, v in enumerate(cols):
         if v in first:
@@ -108,27 +110,27 @@ def _window_kernel(cols: Sequence[Vector]) -> list[int]:
             nu[first[v]], nu[j] = 1, -1
             return nu
         first[v] = j
-    full = [[1, *v] for v in cols]
-    nu = _cofactor_kernel(full)
-    if any(nu):
-        return nu
-    # the rank is at most d: grow a nonsingular minor from the ones row and
-    # the first column, to at most d rows; a row independent of the rows
-    # chosen so far extends it by some column
-    d = len(cols[0])
-    rows, js = [0], [0]
-    for i in range(1, d + 1):
-        if len(rows) == d:
-            break
-        for j in (j for j in range(1, len(full)) if j not in js):
-            if _det([[full[x][k] for k in rows + [i]] for x in js + [j]]):
-                rows.append(i)
-                js.append(j)
+    w = [[x - y for x, y in zip(v, cols[0])] for v in cols[1:]]
+    mu = _cofactor_kernel(w)
+    if not any(mu):
+        # the rank is below d: grow a nonsingular minor to at most d - 1
+        # rows; a row independent of the rows chosen so far extends it by
+        # some column
+        d = len(cols[0])
+        rows: list[int] = []
+        js: list[int] = []
+        for i in range(d):
+            if len(rows) == d - 1:
                 break
-    js = sorted(js + [next(j for j in range(len(full)) if j not in js)])
-    for j, x in zip(js, _cofactor_kernel([[full[j][k] for k in rows] for j in js])):
-        nu[j] = x
-    return nu
+            for j in (j for j in range(len(w)) if j not in js):
+                if _det([[w[x][k] for k in rows + [i]] for x in js + [j]]):
+                    rows.append(i)
+                    js.append(j)
+                    break
+        js = sorted(js + [next(j for j in range(len(w)) if j not in js)])
+        for j, x in zip(js, _cofactor_kernel([[w[j][k] for k in rows] for j in js])):
+            mu[j] = x
+    return [sum(mu), *(-x for x in mu)]
 
 
 def _purify(

@@ -170,6 +170,8 @@ def test_cofactor_kernel_parallel_to_elimination():
         j = next(j for j, x in enumerate(cof) if x)
         scale = Fraction(elim[j], cof[j])
         assert scale and [scale * x for x in cof] == elim, cols
+        if len(set(cols)) == len(cols):
+            assert _window_kernel(cols) == cof, cols
 
 
 def test_window_kernel_on_rank_deficient_windows():
