@@ -408,11 +408,14 @@ def synthesize_box_witness(
     the two copies of theta whenever no count goes negative and at most
     ``DEFAULT_INT_CONE_BUDGET`` steps remain, so the witness is exactly as
     long as the evidence (``rho_source`` "evidence").  Otherwise it falls
-    back to a fresh ``int_cone_member`` solve for r (``rho_source``
-    "integer-cone"), whose coefficients are least-length for every cone
-    shape, and which raises ``ResourceBudgetError`` when that solve is
-    UNDECIDED; the cap keeps coefficients of cancelling generators, which a
-    fixed target does not bound, from setting the witness length.  The
+    back to a fresh least-length ``int_cone_member`` solve for r
+    (``rho_source`` "integer-cone"), first among the generators of which the
+    evidence keeps copies after theta, so that rho draws on the evidence's
+    own generators and its length follows the evidence, and among all of
+    them when r is outside that integer cone.  An UNDECIDED solve raises
+    ``ResourceBudgetError``; the cap keeps coefficients of cancelling
+    generators, which a fixed target does not bound, from setting the
+    witness length.  The
     result is re-verified before being returned; a constructed path that
     fails the check raises ``InternalCheckError`` on either route, with no
     second attempt.
@@ -481,12 +484,22 @@ def synthesize_box_witness(
             return _bundle(
                 vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "evidence"
             )
-        res = int_cone_member(vas, r)
-        if res.status is Membership.UNDECIDED:
-            raise ResourceBudgetError(
-                "integer-cone solve exhausted its budget", DEFAULT_INT_CONE_BUDGET
-            )
-        if not res.is_member or res.coefficients is None:
+        # otherwise rho is a least-length solve for r among the generators
+        # the evidence has left after theta (the others zeroed, so indices
+        # stay put), so its length follows the evidence, not the cone's
+        # shortcuts; among all generators when r is outside that cone
+        spare = VasSystem(2, tuple(
+            g if c > 0 else (0, 0) for g, c in zip(vas.generators, rest)
+        ))
+        for system in (spare, vas):
+            res = int_cone_member(system, r)
+            if res.status is Membership.UNDECIDED:
+                raise ResourceBudgetError(
+                    "integer-cone solve exhausted its budget", DEFAULT_INT_CONE_BUDGET
+                )
+            if res.is_member and res.coefficients is not None:
+                break
+        else:
             raise InternalCheckError(
                 f"{r} is not an integer-cone member, contradicting the "
                 "deep-point argument"

@@ -412,6 +412,8 @@ def test_synthesize_case1_from_evidence(ex1, monkeypatch, evidence):
 def test_synthesize_case1_fallback_reorders_int_cone_solution():
     # (-1,1),(1,0) bound a cone holding the quadrant; theta is 12 copies of
     # (1,1), and the evidence holds only one, so rho comes from a fresh solve
+    # among the two generators the evidence has left: w-23 and 2w-46 copies,
+    # where a solve among all three would take w-23 copies of (1,1)
     vas = VasSystem(2, ((-1, 1), (1, 0), (1, 1)))
     m = DeepConstant(0, "configured")
     report = compute_threshold(vas, m)
@@ -422,6 +424,26 @@ def test_synthesize_case1_fallback_reorders_int_cone_solution():
     seed = compute_seed(vas)
     theta = list(seed.pos_witness_indices())
     r = (t[0] - 2 * seed.s_pos[0], t[1] - 2 * seed.s_pos[1])
+    spare = VasSystem(2, ((-1, 1), (1, 0), (0, 0)))
+    coefficients = int_cone_member(spare, r).coefficients
+    assert coefficients == (w - 23, 2 * w - 46, 0)
+    assert bundle.rho_source == "integer-cone"
+    assert list(bundle.path.indices) == theta + reorder_counts(vas, coefficients) + theta
+
+
+def test_synthesize_case1_solve_falls_back_to_every_generator():
+    # the evidence keeps copies of (-2,2) and (1,0) only, but r lies off
+    # their lattice (index 2), so rho needs (1,1) and comes from a solve
+    # among all three generators
+    vas = VasSystem(2, ((-2, 2), (1, 0), (1, 1)))
+    m = DeepConstant(0, "configured")
+    t = (8235, 8251)
+    bundle = synthesize_box_witness(vas, t, coefficients=[4122, 16472, 7], m=m)
+    seed = compute_seed(vas)
+    theta = list(seed.pos_witness_indices())
+    r = (t[0] - 2 * seed.s_pos[0], t[1] - 2 * seed.s_pos[1])
+    spare = VasSystem(2, ((-2, 2), (1, 0), (0, 0)))
+    assert int_cone_member(spare, r).status is Membership.NON_MEMBER
     rho = reorder_counts(vas, int_cone_member(vas, r).coefficients)
     assert bundle.rho_source == "integer-cone"
     assert list(bundle.path.indices) == theta + rho + theta
