@@ -32,7 +32,8 @@ shapes (large lifted grids, caps with a zero side, zero generators,
 ``verify-window --margin 0``), ``steinitz`` on up to 80 random,
 collinear, repeated and zero vectors, and ``vass1-semilinear`` on the zigzag
 fixture (also refused under a small budget), on small random 1-VASS, on
-one state with many self-loops and on parallel transitions.  Last, every
+random 1-VASS with weights up to 9, on one state with many self-loops, on
+parallel transitions and on a zero-weight cycle.  Last, every
 command runs in several argv forms: ``--flag value``, ``--flag=value``,
 its flags reversed, its first flag given twice, negative numbers in the
 space form, and an instance file or state name that begins with ``-``.
@@ -152,9 +153,11 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     it needs, and one fewer; then the set of 20 random 1-VASS at
     ``--b-lps`` 3 to 7; the one-state system with self-loops -1, 3, -3, 0, 3
     at ``--b-lps`` 9 (2,441,406 paths in 1,016 profiles); a two-state system
-    with parallel transitions; and zigzag at the default ``--b-lps`` under
-    100,000 units, which its path enumeration alone exceeds, so that the
-    refusal messages are compared too.
+    with parallel transitions; 12 random 1-VASS with weights in +-9 at
+    ``--b-lps`` 3 to 5; a zero-weight cycle p -> q -> p beside the loops
+    +3 at p and -2 at q, to each state; and zigzag at the default
+    ``--b-lps`` under 100,000 units, which its path enumeration alone
+    exceeds, so that the refusal messages are compared too.
 
     The argv forms close the sweep.  Each command runs with its flags as
     ``--flag value``, as ``--flag=value``, in reverse order, and with its
@@ -381,6 +384,20 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
                                              ("q", 1, "p"), ("q", -1, "q")])
     add("parallel semilinear b-lps 8",
         ["vass1-semilinear", "--instance", parallel, "--to", "q", "--b-lps", "8"])
+    # weights up to 9 wrap the least-ceiling sweep's ring of norm + 1 slots
+    for n in range(12):
+        states = [f"s{i}" for i in range(rng.randint(1, 3))]
+        trans = [(rng.choice(states), rng.randint(-9, 9), rng.choice(states))
+                 for _ in range(rng.randint(2, 5))]
+        b = rng.randint(3, 5)
+        add(f"vass1-semilinear weights 9 #{n} b-lps {b}",
+            ["vass1-semilinear", "--instance", files.vass1(states, states[0], trans),
+             "--to", rng.choice(states), "--b-lps", str(b)])
+    flat = files.vass1(["p", "q"], "p", [("p", 0, "q"), ("q", 0, "p"),
+                                         ("p", 3, "p"), ("q", -2, "q")])
+    for to in ("p", "q"):
+        add(f"zero-weight cycle semilinear to {to} b-lps 6",
+            ["vass1-semilinear", "--instance", flat, "--to", to, "--b-lps", "6"])
     add("zigzag semilinear default b-lps budget 100000",
         semilinear + ["--node-budget", "100000"])
 

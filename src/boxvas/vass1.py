@@ -9,9 +9,12 @@ start state means reaching it from counter 0 with the counter confined to
 state, and every search reads that grouping.  The configurations [0, C] x Q
 form one flat table, cell v * |Q| + (state index):
 ``vass1_min_ceilings`` fills it with the least ceiling under which each
-configuration is reachable, and ``vass1_box_decide`` runs the one BFS
-kernel, ``_search.flat_bfs``, on the same layout between sentinel rows
-below 0 and above x.  The BFS table and the explicit sweep of
+configuration is reachable, in one bucket-queue minimax sweep over the
+levels C = 0, 1, ...: a move up past the current level parks its target
+in a ring of norm + 1 slots, one per level still ahead, so each cell's
+moves are relaxed once.  ``vass1_box_decide`` runs the one BFS kernel,
+``_search.flat_bfs``, on the same layout between sentinel rows below 0
+and above x.  The BFS table and the explicit sweep of
 ``build_semilinear`` are refused by ``_search.check_cells``, the one
 node-budget refusal, before they are allocated.  ``Vass1System.walk`` is
 the one path check: a single pass giving the end states, effect, drop and
@@ -20,20 +23,22 @@ peak of a path.
 The semilinear builder follows the path-scheme characterization: every
 box-reachable value beyond an explicit bound p3 is the effect of a pumped
 scheme alpha beta^k gamma followed by a closing suffix theta (drop 0, peak =
-effect, effect covering the scheme's overshoot).  Parts with one profile (end
-state, effect, drop, peak) yield identical linear components, and paths
-with one profile extend alike, so ``_profiles`` searches level by level,
-keeping per length one path count per profile and one shortest path as
-its representative; the alpha parts are its drop-0 profiles from q0, the
-paths that never go negative.  The closing-suffix effects of every start
-state come from one table of the reversed system, started at the target
-state.  The least base per (period, residue) is found without pairing
-every scheme with every closing suffix: the scheme's effect before theta
-does not depend on theta, so its least value per residue is kept for each
-(suffix state, period, overshoot) and paired once with the least suffix
-effect of each residue.  Every emitted component, like every BFS witness,
-is verified by walking an actual path (``_is_box_run``) before it is
-admitted.
+effect, effect covering the scheme's overshoot).  The largest overshoot,
+``maxover``, sets p3; it splits into a gamma part and a beta part, so it
+takes one pass over each part per state, not one per pair.  Parts with
+one profile (end state, effect, drop, peak) yield identical linear
+components, and paths with one profile extend alike, so ``_profiles``
+searches level by level, keeping per length one path count per profile
+and one shortest path as its representative; the alpha parts are its
+drop-0 profiles from q0, the paths that never go negative.  The
+closing-suffix effects of every start state come from one table of the
+reversed system, started at the target state.  The least base per
+(period, residue) is found without pairing every scheme with every
+closing suffix: the scheme's effect before theta does not depend on
+theta, so its least value per residue is kept for each (suffix state,
+period, overshoot) and paired once with the least suffix effect of each
+residue.  Every emitted component, like every BFS witness, is verified by
+walking an actual path (``_is_box_run``) before it is admitted.
 
 A component is a (base, period) pair, the values base + k * period for
 k >= 0: the period is the effect of the pumped cycle beta.  One period per
@@ -244,8 +249,17 @@ def vass1_min_ceilings(sys: Vass1System, q0: str, ceiling: int) -> array:
     the smallest C such that (v, state s) is reachable from (0, q0) with the
     counter confined to [0, C], or -1 when it is not reachable that way.
 
-    Incremental-ceiling closure: a path with peak exactly C first steps onto
-    value C from below, after which one search settles everything through C.
+    A bucket-queue minimax sweep, one level C at a time: level C marks the
+    cells waiting for it, then every cell reachable from them inside
+    [0, C] x Q.  Each marked cell's moves are relaxed once, when it is
+    marked.  A target at a value v <= C is marked C at once; a target at a
+    higher value v <= C + norm waits in slot v mod (norm + 1) of a ring,
+    and level v marks it as it takes it out of its slot (a cell may wait
+    there more than once; only its first entry marks it).  The norm + 1
+    slots hold levels C through C + norm, so no two pending levels share
+    one.  A path with peak exactly C first steps onto value C from below,
+    so every cell whose least ceiling is C is marked at level C.  The
+    table is the unique least-ceiling table, whatever the order of visits.
     In particular (x, q) is box-reachable iff its cell holds x.
     """
     sys.check_state(q0)
@@ -254,45 +268,34 @@ def vass1_min_ceilings(sys: Vass1System, q0: str, ceiling: int) -> array:
     nq = len(sys.states)
     offsets = _offsets(sys)
     moves = [[offsets[i] for i, _, _ in out] for out in sys.out]
-    # per state: its positive incoming transitions, as (weight, step)
-    rises: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
-    for out in sys.out:
-        for i, w, d in out:
-            if w > 0:
-                rises[d].append((w, offsets[i]))
-    minceil = array("q", [-1]) * ((ceiling + 1) * nq)
-    start = sys.index[q0]
-    minceil[start] = 0
-    _close(moves, minceil, [start], 0, nq)
-    for c in range(1, ceiling + 1):
-        seeds = []
-        for cell in range(c * nq, (c + 1) * nq):
-            if minceil[cell] >= 0:
-                continue
-            for w, off in rises[cell % nq]:
-                if w <= c and minceil[cell - off] >= 0:
-                    minceil[cell] = c
-                    seeds.append(cell)
-                    break
-        if seeds:
-            _close(moves, minceil, seeds, c, nq)
+    size = (ceiling + 1) * nq
+    minceil = array("q", [-1]) * size
+    slots = sys.norm + 1
+    ring: list[list[int]] = [[] for _ in range(slots)]
+    ring[0].append(sys.index[q0])
+    for c in range(ceiling + 1):
+        waiting = ring[c % slots]
+        if not waiting:
+            continue
+        ring[c % slots] = []
+        stack = []
+        push = stack.append
+        for p in waiting:
+            if minceil[p] < 0:
+                minceil[p] = c
+                push(p)
+        end = (c + 1) * nq
+        while stack:
+            p = stack.pop()
+            for off in moves[p % nq]:
+                q = p + off
+                if q < end:
+                    if q >= 0 and minceil[q] < 0:
+                        minceil[q] = c
+                        push(q)
+                elif q < size:
+                    ring[q // nq % slots].append(q)
     return minceil
-
-
-def _close(
-    moves: list[list[int]], minceil: array, stack: list[int], c: int, nq: int
-) -> None:
-    """Give ceiling c to every unmarked cell reachable from ``stack`` inside
-    [0, c] x Q; 0 <= q < end is the box test."""
-    end = (c + 1) * nq
-    push = stack.append
-    while stack:
-        p = stack.pop()
-        for off in moves[p % nq]:
-            q = p + off
-            if 0 <= q < end and minceil[q] < 0:
-                minceil[q] = c
-                push(q)
 
 
 def _box_values(minceil: array, nq: int, s: int) -> list[int]:
@@ -519,13 +522,17 @@ def build_semilinear(
                 if key not in betas[s]:
                     betas[s][key] = cyc * reps
 
+    # the largest _overshoot over every (beta, gamma) pair at s, one pass
+    # over each: the gamma term and the beta term less gamma's effect are
+    # maximised apart, and gammas[s] is never empty (it holds the empty path)
     maxover = 0
     for s in range(nq):
         if not alpha_front[s] or not betas[s]:
             continue
-        for eff_b, _, peak_b in betas[s]:
-            for _, eff_g, _, peak_g in gammas[s]:
-                maxover = max(maxover, _overshoot(eff_b, peak_b, eff_g, peak_g))
+        rise_g = max(peak_g - eff_g for _, eff_g, _, peak_g in gammas[s])
+        low_g = min(eff_g for _, eff_g, _, _ in gammas[s])
+        rise_b = max(peak_b - eff_b for eff_b, _, peak_b in betas[s])
+        maxover = max(maxover, rise_g, rise_b - low_g)
     bounds = Vass1Bounds.compute(sys, b_lps, maxover)
 
     try:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from bisect import bisect_left
 from collections import deque
 
@@ -187,6 +188,146 @@ def test_one_dim_tables_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def reference_level_closure(sys, q0, ceiling):
+    """The per-level closure the bucket sweep replaced, on the flat table:
+    level c seeds every unmarked cell of row c that a positive transition of
+    weight <= c enters from a marked cell, then closes from the seeds inside
+    [0, c] x Q."""
+    nq = len(sys.states)
+    offsets = vass1._offsets(sys)
+    moves = [[offsets[i] for i, _, _ in out] for out in sys.out]
+    rises = [[] for _ in range(nq)]  # per state: positive (weight, step) in
+    for out in sys.out:
+        for i, w, d in out:
+            if w > 0:
+                rises[d].append((w, offsets[i]))
+    minceil = array("q", [-1]) * ((ceiling + 1) * nq)
+
+    def close(stack, c):
+        end = (c + 1) * nq
+        while stack:
+            p = stack.pop()
+            for off in moves[p % nq]:
+                q = p + off
+                if 0 <= q < end and minceil[q] < 0:
+                    minceil[q] = c
+                    stack.append(q)
+
+    start = sys.index[q0]
+    minceil[start] = 0
+    close([start], 0)
+    for c in range(1, ceiling + 1):
+        seeds = []
+        for cell in range(c * nq, (c + 1) * nq):
+            if minceil[cell] < 0 and any(
+                w <= c and minceil[cell - off] >= 0 for w, off in rises[cell % nq]
+            ):
+                minceil[cell] = c
+                seeds.append(cell)
+        close(seeds, c)
+    return minceil
+
+
+def test_min_ceilings_match_level_closure_random():
+    # weights up to 9 make the ring of norm + 1 slots wrap many times below
+    # ceilings up to 300
+    rng = random.Random(2727)
+    wrapped = 0
+    for _ in range(1000):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+        trans = tuple(
+            (rng.choice(states), rng.randint(-9, 9), rng.choice(states))
+            for _ in range(rng.randint(1, 6))
+        )
+        sys = Vass1System(states, trans)
+        q0, c = rng.choice(states), rng.randint(0, 300)
+        expected = reference_level_closure(sys, q0, c)
+        assert vass1_min_ceilings(sys, q0, c) == expected, (trans, q0, c)
+        wrapped += max(expected) > sys.norm + 1
+    assert wrapped >= 300, wrapped
+
+
+def test_min_ceilings_match_level_closure_edge_shapes():
+    systems = [
+        # a zero-weight cycle p -> q -> p beside rising and falling loops
+        Vass1System(
+            ("p", "q"),
+            (("p", 0, "q"), ("q", 0, "p"), ("p", 3, "p"), ("q", -2, "q")),
+        ),
+        # zero-weight self-loops only: nothing rises off 0
+        Vass1System(("a",), (("a", 0, "a"),)),
+        # transitions heavier than the small ceilings, next to light ones
+        Vass1System(
+            ("a", "b"),
+            (("a", 9, "b"), ("b", -9, "a"), ("a", 2, "a"), ("b", -1, "b"),
+             ("a", -7, "b"), ("b", 8, "b")),
+        ),
+        Vass1System(("a",), (("a", 9, "a"), ("a", -4, "a"))),
+        Vass1System(("a", "b"), ()),  # no transitions: norm 0, one slot
+    ]
+    for sys in systems:
+        for q0 in sys.states:
+            for c in range(301):
+                expected = reference_level_closure(sys, q0, c)
+                assert vass1_min_ceilings(sys, q0, c) == expected, (sys, q0, c)
+
+
+def test_min_ceilings_match_level_closure_zigzag():
+    # the explicit sweeps of the builds at b_lps 8, 14 and 32
+    sys = zigzag_vass()
+    for b_lps, p3 in ((8, 948), (14, 2172), (32, 9732)):
+        assert build_semilinear(sys, "0", "8", b_lps=b_lps)[1].p3 == p3
+        expected = reference_level_closure(sys, "0", p3)
+        assert vass1_min_ceilings(sys, "0", p3) == expected, b_lps
+
+
+def reference_maxover(sys, q0, b_lps):
+    """The overshoot bound as the loop over every (beta, gamma) pair: beta
+    any power of a positive simple cycle through a state that an alpha part
+    (a drop-0 path from q0) ends at, gamma any part from that state."""
+    budget = vass1._Budget(10**9)
+    gammas = [vass1._profiles(sys, s, b_lps, budget) for s in range(len(sys.states))]
+    alpha_ends = {end for end, _, drop, _ in gammas[sys.index[q0]] if drop == 0}
+    maxover = 0
+    for s in alpha_ends:
+        betas = set()
+        for cyc, eff, _, peak in vass1._simple_cycles_from(sys, s, budget):
+            if eff > 0:
+                for reps in range(1, b_lps // len(cyc) + 1):
+                    betas.add((reps * eff, peak + (reps - 1) * eff))
+        for eff_b, peak_b in betas:
+            for _, eff_g, _, peak_g in gammas[s]:
+                maxover = max(maxover, _overshoot(eff_b, peak_b, eff_g, peak_g))
+    return maxover
+
+
+def test_maxover_matches_pairwise_maximum():
+    sys = zigzag_vass()
+    for b_lps in range(4, 65):
+        _, bounds = build_semilinear(sys, "0", "8", b_lps=b_lps)
+        assert bounds.maxover == reference_maxover(sys, "0", b_lps), b_lps
+    rng = random.Random(2828)
+    answered = positive = 0
+    for _ in range(300):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+        trans = tuple(
+            (rng.choice(states), rng.randint(-4, 4), rng.choice(states))
+            for _ in range(rng.randint(1, 5))
+        )
+        sys = Vass1System(states, trans)
+        b_lps = rng.randint(3, 8)
+        try:
+            _, bounds = build_semilinear(
+                sys, states[0], rng.choice(states), b_lps=b_lps, node_budget=200_000
+            )
+        except ResourceBudgetError:
+            continue
+        assert bounds.maxover == reference_maxover(sys, states[0], b_lps), trans
+        answered += 1
+        positive += bounds.maxover > 0
+    assert answered >= 250 and positive >= 80, (answered, positive)
 
 
 def test_overshoot_matches_direct_simulation():
