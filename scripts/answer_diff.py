@@ -26,6 +26,7 @@ on cones inside the quadrant or meeting it along one axis ray,
 and off the lattice, scans and
 integer-cone ``witness`` answers on 4-generator cones and planes and on
 proper cones with two generators of different lengths on each extremal ray,
+``witness`` on evidence paths longer than one block of ``core.walk``,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
 the lifted systems that ``lift`` prints without ``--target``, bitmap
 shapes (large lifted grids, caps with a zero side, zero generators,
@@ -128,6 +129,14 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     the first generator on each extremal ray, so the two orders give
     different witnesses, and a classifier that found the rays, or the
     generators on them, otherwise would change them.
+
+    ``witness --evidence path`` then runs on evidence longer than one
+    64-index block of ``core.walk``: on ex1 with an out-of-range index after
+    three equal blocks and after four, and with a path that leaves the
+    quadrant only inside the third of five equal blocks; and on the shallow
+    intersects-quadrant system (1, 2), (1, -1) at (43,496, 83,992), with
+    evidence that alternates pos, pos, neg and evidence that interleaves
+    the two evenly.
 
     Then ``decide-reach`` asks for target 0 on ex1 under a cap of
     100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
@@ -310,6 +319,37 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             add(f"{label} witness", ["witness", "--instance", path, "--target",
                                      wl.vec(x * a for a in total), "--evidence", "coeffs",
                                      "--values", wl.vec(x * k for k in counts), "--m", "0"])
+
+    # evidence paths longer than one 64-index block of core.walk: a bad index
+    # after repeated blocks; a dip below 0 only inside the third copy of a
+    # repeated block (x is 146, 93 and 40 before the copies and ends the
+    # third at -13); and valid shallow intersects-quadrant evidence that
+    # alternates (pos, pos, neg), or interleaves its 1,000 neg steps evenly
+    # with 42,496 pos steps
+    ex1_file = files.vas(wl.EX1)
+    dip = [2] * 12 + [0, 1] * 26 + ([2] + [0] * 63) * 5 + [2] * 20
+    for label, evidence, target in (
+        ("bad index after repeated blocks", [2] * 64 * 3 + [0, 1] * 5 + [3, -1], "10,10"),
+        ("bad index after repeated alternation", [0, 1] * 32 * 4 + [2] * 7 + [-1, 5], "10,10"),
+        ("dip in the third copy of a block", dip, "81,1026"),
+    ):
+        add(f"ex1 witness --evidence path {label}",
+            ["witness", "--instance", ex1_file, "--target", target,
+             "--evidence", "path", "--values", wl.vec(evidence)])
+    shallow = files.vas([(1, 2), (1, -1)])
+    alpha, beta = 42_496, 1_000  # W = 41,496 and M = 3,456 by default
+    # a largest-deficit order of the two, ties to pos: y never falls below 0
+    interleaved, negs = [], 0
+    for n in range(1, alpha + beta + 1):
+        neg = n * beta - negs * (alpha + beta) > n * alpha - (n - 1 - negs) * (alpha + beta)
+        interleaved.append(int(neg))
+        negs += neg
+    for label, evidence in (("periodic", [0, 0, 1] * beta + [0] * (alpha - 2 * beta)),
+                            ("interleaved", interleaved)):
+        add(f"shallow intersects witness --evidence path {label}",
+            ["witness", "--instance", shallow, "--target",
+             wl.vec((alpha + beta, 2 * alpha - beta)), "--evidence", "path",
+             "--values", wl.vec(evidence)])
 
     zero = ["decide-reach", "--instance", files.vas([(-1, 2), (2, -1), (10, 10)]),
             "--target", "0,0", "--cap", "100000,100000"]

@@ -139,11 +139,13 @@ def _bundle(
 
 
 def witness_length_lower_bound(vas: VasSystem, target: Sequence[int]) -> int:
-    """The fewest steps of any path from 0 to ``target``.
+    """A lower bound on the number of steps of any path from 0 to ``target``.
 
     One step raises coordinate k by at most the largest positive entry of a
     generator in coordinate k, so t_k needs at least ceil(t_k / that entry)
     steps; the bound is the largest of these over the positive coordinates.
+    It can be below the fewest steps, because the generator that raises one
+    coordinate most need not raise the others.
     """
     bound = 0
     for k, x in enumerate(check_target(target, vas.dim)):

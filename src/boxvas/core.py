@@ -6,8 +6,11 @@ refers back to a concrete system instance.  The empty path is legal and has
 effect zero.
 
 ``walk`` is the one path kernel: a single pass that checks every index and
-returns (effect, drop, peak).  It pays per run of equal indices, not per
-step, so the long runs of a reordered witness cost one update each.
+returns (effect, drop, peak).  It reads a long path in blocks of ``BLOCK``
+indices, summarises each distinct block once per call and composes a
+repeat of r equal blocks in closed form, and it walks the rest, and a
+shorter path, run by run, so the long runs and the regular orders of a
+reordered witness cost little per step.
 ``PathRecord.record`` and the path predicates are read off it;
 ``prefix_effects`` keeps its own loop to yield each prefix.
 """
@@ -86,20 +89,22 @@ class VasSystem:
         return self.dim * sum(inf_norm(g) for g in self.generators)
 
 
-def walk(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector, Vector]:
-    """(effect, drop, peak) of ``path`` in one pass.  Per coordinate, drop is
-    minus the least prefix effect and peak the greatest; the empty prefix
-    counts, so both are >= 0.  An index outside [0, n) raises, negatives too.
+BLOCK = 64  # indices per block of a long path in ``walk``
+# a long path whose blocks, past this many indices, still miss the memo
+# more than 7 times in 8 goes on run by run (a random path does)
+_TRIAL = 256 * BLOCK
 
-    The pass goes run by run: r equal indices i add r * g_i, and a run of
-    one generator is monotone in every coordinate, so only its end can set
-    a new least or greatest prefix."""
-    gens = vas.generators
+
+def _walk_runs(
+    gens: tuple[Vector, ...], path: Iterable[int], acc: list[int], lo: list[int], hi: list[int]
+) -> None:
+    """Extend the effect ``acc`` and the least and greatest prefixes ``lo``
+    and ``hi`` by ``path``, in place, run by run: r equal indices i add
+    r * g_i, and a run of one generator is monotone in every coordinate,
+    so only its end can set a new least or greatest prefix.  An index
+    outside [0, n) raises, the first one of ``path``."""
     n = len(gens)
-    coords = range(vas.dim)
-    acc = [0] * vas.dim
-    lo = [0] * vas.dim
-    hi = [0] * vas.dim
+    coords = range(len(acc))
     for i, run in groupby(path):
         if not 0 <= i < n:
             raise MalformedPathError(
@@ -114,6 +119,59 @@ def walk(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector, Vector]:
                 lo[k] = a
             elif a > hi[k]:
                 hi[k] = a
+
+
+def walk(vas: VasSystem, path: Sequence[int]) -> tuple[Vector, Vector, Vector]:
+    """(effect, drop, peak) of ``path`` in one pass.  Per coordinate, drop is
+    minus the least prefix effect and peak the greatest; the empty prefix
+    counts, so both are >= 0.  An index outside [0, n) raises, negatives too,
+    and the error names the first one in the path.
+
+    A path of ``BLOCK`` indices or more is read in blocks of ``BLOCK``, and
+    equal consecutive blocks are taken together.  A block not seen before
+    in this call is walked run by run for its effect e and its least and
+    greatest prefixes l <= 0 <= h; r copies of it from effect a then have
+    least prefix a + l + (r - 1) * min(0, e), greatest a + h +
+    (r - 1) * max(0, e) and end a + r * e.  Blocks are first walked in path
+    order, so a bad index is met where the path has it.  The last
+    len(path) % BLOCK indices go run by run, as does a shorter path, and so
+    does the rest of a path whose blocks keep missing (see ``_TRIAL``)."""
+    gens = vas.generators
+    dim = vas.dim
+    acc = [0] * dim
+    lo = [0] * dim
+    hi = [0] * dim
+    done = 0
+    if len(path) >= BLOCK:
+        coords = range(dim)
+        seen: dict[tuple[int, ...], tuple[list[int], list[int], list[int]]] = {}
+        for block, group in groupby(zip(*[iter(path)] * BLOCK)):
+            summary = seen.get(block)
+            if summary is None:
+                if done >= _TRIAL and 8 * len(seen) * BLOCK > 7 * done:
+                    break
+                summary = [0] * dim, [0] * dim, [0] * dim
+                _walk_runs(gens, block, *summary)
+                seen[block] = summary
+            e, least, greatest = summary
+            more = countOf(group, block) - 1  # copies after the first
+            for k in coords:
+                a = acc[k]
+                ek = e[k]
+                # r copies: the least prefix is in the last copy when e < 0,
+                # the greatest in the last copy when e > 0
+                if ek < 0:
+                    low, high = a + least[k] + more * ek, a + greatest[k]
+                else:
+                    low, high = a + least[k], a + greatest[k] + more * ek
+                if low < lo[k]:
+                    lo[k] = low
+                if high > hi[k]:
+                    hi[k] = high
+                acc[k] = a + (more + 1) * ek
+            done += (more + 1) * BLOCK
+        path = path[done:]
+    _walk_runs(gens, path, acc, lo, hi)
     return tuple(acc), tuple(-x for x in lo), tuple(hi)
 
 

@@ -15,6 +15,7 @@ from boxvas import (
     is_box_reaching_trace,
     is_valid_n_trace,
     prefix_effects,
+    reorder_counts,
 )
 from boxvas.core import walk
 
@@ -114,6 +115,77 @@ def test_walk_names_the_first_bad_index_inside_a_run(ex1):
     for path, bad in cases:
         with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
             walk(ex1, path)
+
+
+def test_walk_blocks_match_per_step_reference():
+    # walk reads paths of BLOCK (64) indices or more in blocks, composing
+    # repeated blocks in closed form and walking the rest run by run
+    rng = random.Random(28)
+    signs = [set(), set()]
+
+    def check(vas, path):
+        assert walk(vas, path) == walk_per_step(vas, path), (vas, len(path))
+        for start in range(0, len(path) - 63, 64):
+            block_effect = walk_per_step(vas, path[start:start + 64])[0]
+            for k, e in enumerate(block_effect[:2]):
+                signs[k].add((e > 0) - (e < 0))
+
+    cross = VasSystem(2, ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1)))
+    for length in (63, 64, 65, 129, 3 * 64 + 5):
+        for vas in (cross, ZIGZAG, VasSystem(3, ((2, -1, 0), (-1, 0, 3), (0, 1, -2)))):
+            n = len(vas.generators)
+            check(vas, [rng.randrange(n) for _ in range(length)])
+            check(vas, [rng.randrange(n)] * length)
+    for period in range(1, 71):
+        for vas in (cross, ZIGZAG):
+            n = len(vas.generators)
+            unit = [rng.randrange(n) for _ in range(period)]
+            other = [rng.randrange(n) for _ in range(rng.randint(1, 70))]
+            for length in (64 * 5 + rng.randrange(64), 64 * 12):
+                path = [unit[j % period] for j in range(length)]
+                check(vas, path)
+                # repeated blocks, then other blocks and the repeats again
+                check(vas, path + [other[j % len(other)] for j in range(length)] + path)
+    # every coordinate of some block falls, holds and rises
+    assert signs == [{-1, 0, 1}, {-1, 0, 1}]
+    four = VasSystem(2, ((-1, 2), (2, -1), (10, 10), (3, -4)))
+    for types in ((0, 1), (1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2, 3)):
+        for _ in range(4):
+            counts = [0] * 4
+            for i in types:
+                counts[i] = rng.randint(1, 10**4)
+            check(four, reorder_counts(four, counts))
+    # a random path gives up its blocks past the first 256 and goes on run
+    # by run, here into a periodic part
+    for vas in (cross, ZIGZAG):
+        n = len(vas.generators)
+        check(vas, [rng.randrange(n) for _ in range(20000)] + [0, 1, 1] * 2000)
+        check(vas, tuple(rng.randrange(n) for _ in range(64 * 300 + 7)))
+
+
+def test_walk_blocks_name_the_first_bad_index(ex1):
+    rng = random.Random(29)
+    valid = [rng.randrange(3) for _ in range(64 * 3 + 5)]
+    repeated = [rng.randrange(3) for _ in range(64)] * 5
+    noise = [rng.randrange(3) for _ in range(20000)]
+    cases = [
+        # past the first block, with a later bad index too
+        (valid[:64 + 9] + [3] + valid[64 + 9:] + [-1], 3),
+        (valid[:64] + [-2] + valid[64:], -2),
+        # inside the tail of len(path) % 64 indices
+        (valid[:64 * 3 + 2] + [7] + valid[64 * 3 + 2:], 7),
+        (valid + [4], 4),
+        # after a group of repeated blocks, then a repeat again
+        (repeated + repeated[:13] + [5] + repeated[13:] + [8] * 3, 5),
+        (repeated + [-1] * 64 + repeated, -1),
+        # in the run-by-run part after a random path's blocks are given up
+        (noise[:19000] + [6] + noise[19000:] + [9], 6),
+    ]
+    for path, bad in cases:
+        with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
+            walk(ex1, path)
+        with pytest.raises(MalformedPathError, match=rf"^path index {bad} out of range"):
+            walk_per_step(ex1, path)
 
 
 def test_prefix_effects_starts_empty(ex1):
