@@ -130,17 +130,17 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     different witnesses, and a classifier that found the rays, or the
     generators on them, otherwise would change them.
 
-    ``witness --evidence path`` then runs on evidence longer than one
+    Then ``decide-reach`` asks for target 0 on ex1 under a cap of
+    100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
+    it under a node budget of 0 and of 1.
+
+    ``witness --evidence path`` runs next on evidence longer than one
     64-index block of ``core.walk``: on ex1 with an out-of-range index after
     three equal blocks and after four, and with a path that leaves the
     quadrant only inside the third of five equal blocks; and on the shallow
     intersects-quadrant system (1, 2), (1, -1) at (43,496, 83,992), with
     evidence that alternates pos, pos, neg and evidence that interleaves
     the two evenly.
-
-    Then ``decide-reach`` asks for target 0 on ex1 under a cap of
-    100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
-    it under a node budget of 0 and of 1.
 
     Bitmap shapes no workload runs come next: ``lift --target`` on ex1 at
     (30, 30), a lifted grid of 31^4 = 923,521 cells, and on ex2 at
@@ -320,13 +320,20 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
                                      wl.vec(x * a for a in total), "--evidence", "coeffs",
                                      "--values", wl.vec(x * k for k in counts), "--m", "0"])
 
+    zero = ["decide-reach", "--instance", files.vas([(-1, 2), (2, -1), (10, 10)]),
+            "--target", "0,0", "--cap", "100000,100000"]
+    add("ex1 decide-reach 0 over-budget cap", zero)
+    add("ex1 decide-reach --witness 0 over-budget cap", zero + ["--witness"])
+    for budget in ("0", "1"):
+        add(f"ex1 lift 0 budget {budget}", ["lift", "--instance", zero[2],
+                                            "--target", "0,0", "--node-budget", budget])
+
     # evidence paths longer than one 64-index block of core.walk: a bad index
     # after repeated blocks; a dip below 0 only inside the third copy of a
     # repeated block (x is 146, 93 and 40 before the copies and ends the
     # third at -13); and valid shallow intersects-quadrant evidence that
     # alternates (pos, pos, neg), or interleaves its 1,000 neg steps evenly
     # with 42,496 pos steps
-    ex1_file = files.vas(wl.EX1)
     dip = [2] * 12 + [0, 1] * 26 + ([2] + [0] * 63) * 5 + [2] * 20
     for label, evidence, target in (
         ("bad index after repeated blocks", [2] * 64 * 3 + [0, 1] * 5 + [3, -1], "10,10"),
@@ -334,7 +341,7 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
         ("dip in the third copy of a block", dip, "81,1026"),
     ):
         add(f"ex1 witness --evidence path {label}",
-            ["witness", "--instance", ex1_file, "--target", target,
+            ["witness", "--instance", zero[2], "--target", target,
              "--evidence", "path", "--values", wl.vec(evidence)])
     shallow = files.vas([(1, 2), (1, -1)])
     alpha, beta = 42_496, 1_000  # W = 41,496 and M = 3,456 by default
@@ -350,14 +357,6 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             ["witness", "--instance", shallow, "--target",
              wl.vec((alpha + beta, 2 * alpha - beta)), "--evidence", "path",
              "--values", wl.vec(evidence)])
-
-    zero = ["decide-reach", "--instance", files.vas([(-1, 2), (2, -1), (10, 10)]),
-            "--target", "0,0", "--cap", "100000,100000"]
-    add("ex1 decide-reach 0 over-budget cap", zero)
-    add("ex1 decide-reach --witness 0 over-budget cap", zero + ["--witness"])
-    for budget in ("0", "1"):
-        add(f"ex1 lift 0 budget {budget}", ["lift", "--instance", zero[2],
-                                            "--target", "0,0", "--node-budget", budget])
 
     ex2 = files.vas(wl.EX2)
     add("ex1 lift 30,30", ["lift", "--instance", zero[2], "--target", "30,30"])
