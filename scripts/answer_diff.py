@@ -10,7 +10,10 @@ snapshots of ``--parent`` and of HEAD, one worker process per snapshot, and
 compares the exit code, the envelope's ``result`` and the last stderr
 line: the summary of an answer, or the message of an error (the timing and
 the echoed budget are not answers).  It lists every operation whose exit
-code, result or last stderr line differs.  A ``steinitz``
+code, result or last stderr line differs, and under it whether the exit
+code and the last stderr line differ, then each ``result`` key that
+differs with both values, cut at 200 characters (a key that one side does
+not report reads "absent").  A ``steinitz``
 operation whose two permutations both pass HEAD's
 ``perfbench/checkers.check_steinitz`` is listed as "permutation changed,
 both accepted", because any permutation in the corridor is a right answer.
@@ -26,6 +29,8 @@ on cones inside the quadrant or meeting it along one axis ray,
 and off the lattice, scans and
 integer-cone ``witness`` answers on 4-generator cones and planes and on
 proper cones with two generators of different lengths on each extremal ray,
+a proof-case-1 ``witness`` whose evidence keeps three generator types after
+the seed path,
 ``witness`` on evidence paths longer than one block of ``core.walk``,
 ``decide-reach`` and ``lift`` at target 0 under a cap over the node budget,
 the lifted systems that ``lift`` prints without ``--target``, bitmap
@@ -129,6 +134,12 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     the first generator on each extremal ray, so the two orders give
     different witnesses, and a classifier that found the rays, or the
     generators on them, otherwise would change them.
+
+    A proof-case-1 ``witness`` under ``--m 0`` follows on the cone
+    (-1, 2), (2, -1), (1, 1) holding the quadrant, with evidence that keeps
+    all three generator types after the two seed copies: W copies of p =
+    (1, 1) beside x + 2y and 2x + y copies of the extremals.  u + v equals
+    p, so the least-length rho is shorter than the evidence.
 
     Then ``decide-reach`` asks for target 0 on ex1 under a cap of
     100,000^2 cells, with and without ``--witness``, and ``lift`` asks for
@@ -319,6 +330,14 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             add(f"{label} witness", ["witness", "--instance", path, "--target",
                                      wl.vec(x * a for a in total), "--evidence", "coeffs",
                                      "--values", wl.vec(x * k for k in counts), "--m", "0"])
+
+    # x + 2y copies of u and 2x + y of v sum to (3x, 3y), and 16,000 = W
+    # copies of p keep p in the evidence after the 20 of two seed copies
+    x, y, w = 5_339, 5_343, 16_000
+    add("three-type contains-quadrant witness",
+        ["witness", "--instance", files.vas([(-1, 2), (2, -1), (1, 1)]),
+         "--target", wl.vec((3 * x + w, 3 * y + w)), "--evidence", "coeffs",
+         "--values", wl.vec((x + 2 * y, 2 * x + y, w)), "--m", "0"])
 
     zero = ["decide-reach", "--instance", files.vas([(-1, 2), (2, -1), (10, 10)]),
             "--target", "0,0", "--cap", "100000,100000"]
@@ -559,9 +578,29 @@ def both_accepted(checkers, vectors, answers) -> bool:
     return True
 
 
-def short(answer) -> str:
-    text = json.dumps(answer, sort_keys=True)
+ABSENT = object()  # a result key that one side does not report
+
+
+def short(value) -> str:
+    text = "absent" if value is ABSENT else json.dumps(value, sort_keys=True)
     return text if len(text) <= 200 else text[:200] + "..."
+
+
+def differences(parent: list, head: list) -> list[str]:
+    """What differs between two answers: whether the exit code and the last
+    stderr line do, then each differing ``result`` key with both values."""
+    (code, result, last), (head_code, head_result, head_last) = parent, head
+    lines = []
+    for part, before, after in (("exit code", code, head_code),
+                                ("last stderr line", last, head_last)):
+        lines.append(f"{part}: " + ("same" if before == after
+                                    else f"{short(before)} -> {short(after)}"))
+    result, head_result = result or {}, head_result or {}
+    for key in sorted(result.keys() | head_result.keys()):
+        before, after = result.get(key, ABSENT), head_result.get(key, ABSENT)
+        if before != after:
+            lines.append(f"result key {key}: {short(before)} -> {short(after)}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -620,9 +659,9 @@ def main(argv=None) -> int:
                 accepted += 1
                 print(f"  {seed}{op['label']}: permutation changed, both accepted")
                 continue
-            print(f"  {seed}{op['label']}: {' '.join(op['argv'])}")
-            for side in commits:
-                print(f"    {side}: {short(answers[side][i])}")
+            print(f"  {seed}{op['label']}: {' '.join(op['argv'])[:200]}")
+            for line in differences(*sides):
+                print(f"    {line}")
     print(f"{differing} differing operations, {accepted} of them steinitz permutations "
           f"that check_steinitz accepts on both sides "
           f"({commits['parent'][:12]} -> {commits['head'][:12]})")

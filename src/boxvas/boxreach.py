@@ -99,9 +99,6 @@ class WitnessBundle:
     path: PathRecord
     target: Vector
     method: WitnessMethod
-    # proof case 1 only: where the multiset behind the reordered middle came
-    # from, "evidence" (the caller's) or "integer-cone" (a fresh solve)
-    rho_source: str | None = None
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ def _bundle(
     indices: Sequence[int],
     target: Vector,
     method: WitnessMethod,
-    rho_source: str | None = None,
     cap: Vector | None = None,
 ) -> WitnessBundle:
     record = PathRecord.record(vas, indices)
@@ -133,9 +129,7 @@ def _bundle(
             f"constructed witness does not reach {target} inside "
             f"[0, {target if cap is None else cap}]"
         )
-    return WitnessBundle(
-        path=record, target=target, method=method, rho_source=rho_source
-    )
+    return WitnessBundle(path=record, target=target, method=method)
 
 
 def witness_length_lower_bound(vas: VasSystem, target: Sequence[int]) -> int:
@@ -405,22 +399,16 @@ def synthesize_box_witness(
     the evidence path, so coefficients alone are rejected there.
 
     Proof case 1 emits theta . rho . theta, where theta is the seed path to
-    s_pos and rho reorders a multiset of generators summing to
-    r = t - 2*s_pos.  That multiset is the evidence's generator counts minus
-    the two copies of theta whenever no count goes negative and at most
-    ``DEFAULT_INT_CONE_BUDGET`` steps remain, so the witness is exactly as
-    long as the evidence (``rho_source`` "evidence").  Otherwise it falls
-    back to a fresh least-length ``int_cone_member`` solve for r
-    (``rho_source`` "integer-cone"), first among the generators of which the
-    evidence keeps copies after theta, so that rho draws on the evidence's
-    own generators and its length follows the evidence, and among all of
-    them when r is outside that integer cone.  An UNDECIDED solve raises
-    ``ResourceBudgetError``; the cap keeps coefficients of cancelling
-    generators, which a fixed target does not bound, from setting the
-    witness length.  The
-    result is re-verified before being returned; a constructed path that
-    fails the check raises ``InternalCheckError`` on either route, with no
-    second attempt.
+    s_pos and rho reorders a least-length multiset of generators summing to
+    r = t - 2*s_pos, from an ``int_cone_member`` solve.  The solve runs first
+    among the generators of which the evidence keeps copies after the two
+    copies of theta, so rho draws on the evidence's own generators and is no
+    longer than the evidence whenever the evidence holds both copies of
+    theta, and among all of them when r is outside that integer cone.  An
+    UNDECIDED solve raises ``ResourceBudgetError``.  When every generator is
+    nonnegative the witness reorders the evidence itself.  The result is
+    re-verified before being returned; a constructed path that fails the
+    check raises ``InternalCheckError``, with no second attempt.
     """
     if vas.dim != 1:
         _require_dim2(vas)
@@ -466,7 +454,7 @@ def synthesize_box_witness(
     if report.case_tag is ThresholdCase.CONTAINED_IN_QUADRANT:
         # all generators nonnegative: any multiset order is box-reaching
         order = reorder_counts(vas, counts)
-        return _bundle(vas, order, t, WitnessMethod.PROOF_CASE_1, "evidence")
+        return _bundle(vas, order, t, WitnessMethod.PROOF_CASE_1)
 
     seed = compute_seed(vas)
     theta = list(seed.pos_witness_indices())
@@ -474,22 +462,14 @@ def synthesize_box_witness(
 
     def case1() -> WitnessBundle:
         # any multiset summing to r serves as rho, since the reordering bound
-        # depends only on the generators; the evidence minus two copies of
-        # theta is one whenever it stays nonnegative.  Cancelling generators
-        # let coefficients grow without bound for a fixed target, so a rho
-        # longer than the integer-cone budget comes from the solve instead
+        # depends only on the generators.  rho is a least-length solve for r
+        # among the generators the evidence has left after theta (the others
+        # zeroed, so indices stay put), so its length follows the evidence,
+        # not the cone's shortcuts; among all generators when r is outside
+        # that cone
         rest = counts[:]
         for i in theta:
             rest[i] -= 2
-        if min(rest) >= 0 and sum(rest) <= DEFAULT_INT_CONE_BUDGET:
-            rho = reorder_counts(vas, rest)
-            return _bundle(
-                vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "evidence"
-            )
-        # otherwise rho is a least-length solve for r among the generators
-        # the evidence has left after theta (the others zeroed, so indices
-        # stay put), so its length follows the evidence, not the cone's
-        # shortcuts; among all generators when r is outside that cone
         spare = VasSystem(2, tuple(
             g if c > 0 else (0, 0) for g, c in zip(vas.generators, rest)
         ))
@@ -507,9 +487,7 @@ def synthesize_box_witness(
                 "deep-point argument"
             )
         rho = reorder_counts(vas, res.coefficients)
-        return _bundle(
-            vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1, "integer-cone"
-        )
+        return _bundle(vas, theta + rho + theta, t, WitnessMethod.PROOF_CASE_1)
 
     # the other cases, and deep intersects-quadrant residuals, go through
     # case 1; shallow ones consume facet-parallel steps of the evidence path

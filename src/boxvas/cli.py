@@ -234,8 +234,6 @@ def _witness(args):
         "length": len(bundle.path),
         "length_lower_bound": witness_length_lower_bound(vas, bundle.target),
     }
-    if bundle.rho_source is not None:
-        result["rho_source"] = bundle.rho_source
     summary = (f"witness via {result['method']}, length {result['length']} "
                f"(lower bound {result['length_lower_bound']})")
     return result, summary

@@ -471,7 +471,7 @@ def test_cli_witness_reports_length_lower_bound(ex1_file, capsys):
     assert code == 0
     result = env["result"]
     assert result["method"] == "proof-case-1"
-    assert result["rho_source"] == "evidence"
+    assert "rho_source" not in result
     assert (result["length"], result["length_lower_bound"]) == (70254, 70247)
     assert err.strip() == (
         "witness via proof-case-1, length 70254 (lower bound 70247)"
