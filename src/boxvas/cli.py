@@ -17,6 +17,15 @@ required flag, a value its validator or choices reject, or a stray
 positional raises ``InvalidInputError`` (exit 2) with a one-line message
 that names the flag or command.  ``-h``/``--help`` in a flag position
 prints the commands, or the command's flags, to stdout and exits 0.
+
+Stdout is canonical ``json.dumps(envelope, sort_keys=True)`` text, byte for
+byte.  A witness of ``FLAT_PATH`` or more indices, all in [0, 10), is
+written in one C-level pass (``bytes``, ``translate`` and a strided copy)
+and spliced into the ``json.dumps`` text of the rest of the envelope; every
+other envelope is ``json.dumps`` itself.  Likewise a ``--values`` text of
+``FLAT_PATH`` or more one-digit entries, strictly digit, comma, digit, ...,
+digit, is read with one ``translate``; any other text goes through
+``split`` and ``int`` and keeps their messages.
 """
 from __future__ import annotations
 
@@ -61,6 +70,49 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         return tuple(map(int, text.split(",")))
     except ValueError:
         raise InvalidInputError(f"malformed vector {text!r}: expected comma-separated integers")
+
+
+# The path text codec: long one-digit paths are written and read in one pass.
+FLAT_PATH = 64  # shorter witnesses and --values texts take the general route
+_INDEX_DIGITS = b"0123456789" + b"x" * 246  # index k < 10 -> its digit, else "x"
+_DIGIT_INDICES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_MARK = "\x00witness\x00"  # the witness's place while json.dumps writes the rest
+_MARK_TEXT = json.dumps(_MARK)
+
+
+def _parse_values(text: str) -> tuple[int, ...]:
+    """The integers of ``text``, as ``_parse_vector`` reads them."""
+    n = len(text)
+    if n >= 2 * FLAT_PATH - 1 and n % 2 and text.isascii():
+        raw = text.encode()
+        digits = raw[::2]
+        if raw[1::2] == b"," * (n // 2) and digits.isdigit():
+            return tuple(digits.translate(_DIGIT_INDICES))
+    return _parse_vector(text)
+
+
+def _envelope_text(envelope: dict) -> str:
+    """``json.dumps(envelope, sort_keys=True)``.  The result's witness, when
+    it is a list or tuple of ``FLAT_PATH`` or more int indices in [0, 10),
+    is written as ", "-separated digits in one pass (``bytes`` would take a
+    bool as 0 or 1, but no handler puts one in a witness)."""
+    result = envelope["result"]
+    path = result.get("witness")
+    if isinstance(path, (list, tuple)) and len(path) >= FLAT_PATH:
+        try:
+            digits = bytes(path).translate(_INDEX_DIGITS)
+        except (TypeError, ValueError):  # not small nonnegative ints
+            digits = b""
+        if digits.isdigit():
+            rest = json.dumps({**envelope, "result": {**result, "witness": _MARK}},
+                              sort_keys=True)
+            head, _, tail = rest.partition(_MARK_TEXT)
+            if _MARK_TEXT not in tail:  # no other value holds the mark
+                text = bytearray(b"0, ") * len(digits)
+                text[::3] = digits
+                del text[-2:]
+                return f"{head}[{text.decode()}]{tail}"
+    return json.dumps(envelope, sort_keys=True)
 
 
 def _parse_vector_list(text: str) -> list[tuple[int, ...]]:
@@ -222,7 +274,7 @@ def _steinitz(args):
 def _witness(args):
     vas = _require_vas(_load_instance(args.instance))
     target = _parse_vector(args.target)
-    values = _parse_vector(args.values)
+    values = _parse_values(args.values)
     m = DeepConstant(args.m, "configured") if args.m is not None else None
     if args.evidence == "coeffs":
         bundle = synthesize_box_witness(vas, target, coefficients=values, m=m)
@@ -230,7 +282,7 @@ def _witness(args):
         bundle = synthesize_box_witness(vas, target, path=values, m=m)
     result = {
         "method": bundle.method.value,
-        "witness": list(bundle.path.indices),
+        "witness": bundle.path.indices,
         "length": len(bundle.path),
         "length_lower_bound": witness_length_lower_bound(vas, bundle.target),
     }
@@ -433,7 +485,7 @@ def run_command(argv: Sequence[str]) -> int:
         "budget": {"node_budget": getattr(args, "node_budget", None)},
         "warnings": [],
     }
-    print(json.dumps(envelope, sort_keys=True))
+    print(_envelope_text(envelope))
     print(summary, file=sys.stderr)
     return EXIT_OK
 
