@@ -124,7 +124,15 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     64, four of each shape: proper cones holding the quadrant, half-planes
     (the line of +-u with p and q on one side) and full planes (p and q on
     opposite sides of it).  Each runs ``threshold --validate-radius 8``
-    with the default M and with ``--m 0``, and a proof-case-1 ``witness``
+    with the default M and with ``--m 0``, and ``threshold --m -3
+    --validate-radius 20``.  The CLI refuses a negative M with exit 2, so
+    that operation compares the refusal; points outside the cone, which
+    only a negative M scans, are left to the tier-1 tests.  The proper
+    cones and full planes also run ``threshold --m 0 --validate-radius 20``:
+    a larger flood on the cones, and on the planes a scan of up to 1,681
+    lattice points that searches none of them.  Half-planes do not, since their scan still
+    searches each point and took 11-22 s at radius 8 on two of them.  Each
+    also runs a proof-case-1 ``witness``
     under ``--m 0`` whose evidence forces the integer-cone solve: the cone
     evidence holds no copy of the strictly positive p (it sums the
     extremals to at least W in both coordinates), and the plane evidence
@@ -134,7 +142,9 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     generators of different lengths: (-1, 2), (-2, 4), (2, -1), (4, -2),
     (10, 10) and (-1, 1), (-3, 3), (1, 0), (2, 0), (1, 1), each in this
     generator order and reversed.  Each runs ``threshold --validate-radius
-    8`` with the default M and with ``--m 0``, ``seed``, and a
+    8`` with the default M and with ``--m 0``, ``threshold
+    --validate-radius 20`` with ``--m -3`` (refused) and ``--m 0``,
+    ``seed``, and a
     proof-case-1 ``witness`` under ``--m 0`` whose evidence takes only the
     ray generators, so the least-length integer-cone solve runs.  Both
     orders give witnesses of the same length (1,361,364 steps on the first
@@ -285,6 +295,13 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     def pair(lo, hi):
         return (rng.randint(lo, hi), rng.randint(lo, hi))
 
+    def wide_scans(label, path, flood):
+        # the CLI refuses a negative M (exit 2); --m 0 runs at radius 20 only
+        # where the scan floods or searches nothing, not on half-planes
+        for m in ("-3", "0") if flood else ("-3",):
+            add(f"{label} threshold --m {m} --validate-radius 20",
+                ["threshold", "--instance", path, "--m", m, "--validate-radius", "20"])
+
     for shape in ("proper cone", "half-plane", "full plane"):
         made = 0
         while made < 4:
@@ -316,6 +333,7 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             for m in ([], ["--m", "0"]):
                 add(" ".join([label, "threshold", *m]),
                     ["threshold", "--instance", path, *m, "--validate-radius", "8"])
+            wide_scans(label, path, shape != "half-plane")
             add(f"{label} witness", ["witness", "--instance", path, "--target",
                                      wl.vec(target), "--evidence", "coeffs",
                                      "--values", wl.vec(counts), "--m", "0"])
@@ -333,6 +351,7 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
             for m in ([], ["--m", "0"]):
                 add(" ".join([label, "threshold", *m]),
                     ["threshold", "--instance", path, *m, "--validate-radius", "8"])
+            wide_scans(label, path, True)
             add(f"{label} seed", ["seed", "--instance", path])
             add(f"{label} witness", ["witness", "--instance", path, "--target",
                                      wl.vec(x * a for a in total), "--evidence", "coeffs",

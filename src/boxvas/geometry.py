@@ -14,7 +14,10 @@ direction the cone is the full plane, with two (opposite) ones a line;
 opposite boundary directions bound a half-plane, any others a pointed cone.
 Integer-cone membership is one search for every cone shape: the non-basic
 coefficients of a least-length LP basis, in a box that the facets and a
-proximity bound cap, walked in order of their cost.
+proximity bound cap, walked in order of their cost.  The falsification
+scan needs no search on a pointed cone, where one flood from 0 marks every
+member it asks about, nor on the full plane, where the lattice is the
+integer cone.
 """
 from __future__ import annotations
 
@@ -35,11 +38,13 @@ from .core import (
     is_box_reaching_trace,  # not called here; perfbench/tracing.py patches it
     vec_scale,
 )
+from ._search import DEFAULT_NODE_BUDGET
 from .errors import (
     DegenerateSystemError,
     InternalCheckError,
     InvalidInputError,
     PreconditionError,
+    ResourceBudgetError,
     UnsupportedDimensionError,
 )
 
@@ -295,6 +300,18 @@ class _LatticeSolver:
                 r += 1
         self._rows = rows
         self._pivots = pivots
+        self.rank = len(pivots)
+
+    def column(self, x: int) -> tuple[int, int] | None:
+        """For 2-D generators of rank 2: (y0, s) with s > 0 such that the
+        lattice points of column x are the (x, y) with y = y0 mod s, or None
+        when column x holds none.  The echelon rows are (p, q) and (0, s):
+        x must be a multiple k of p, and then y steps by s from k * q."""
+        (p, q), (_, s) = self._rows[:2]
+        k, rem = divmod(x, p)
+        if rem:
+            return None
+        return k * q % abs(s), abs(s)
 
     def contains(self, v: Vector) -> bool:
         """Whether v is an integer combination of the generators."""
@@ -478,6 +495,111 @@ def int_cone_member(vas: VasSystem, v: Sequence[int]) -> IntConeResult:
     return search.member(tuple(int(x) for x in v))
 
 
+def _column_bounds(cone: ConeData, x: int, m: int, radius: int) -> tuple[int, int]:
+    """[lo, hi]: the y of the m-deep points of column x in the box of
+    ``radius``, from a * x + b * y >= m for each facet (a, b)."""
+    lo, hi = -radius, radius
+    for a, b in cone.facets:
+        if b > 0:
+            lo = max(lo, -((a * x - m) // b))
+        elif b < 0:
+            hi = min(hi, (a * x - m) // -b)
+        elif a * x < m:
+            hi = lo - 1
+    return lo, hi
+
+
+def _deep_columns(
+    cone: ConeData, lattice: _LatticeSolver, m: int, radius: int
+) -> list[tuple[int, Sequence[int]]]:
+    """(x, ys) for each column x of the box, in order: ys are the y of its
+    m-deep lattice points, ascending.  For a rank-2 lattice ys is a
+    ``range`` stepped by the echelon; otherwise each point is tested."""
+    columns = []
+    for x in range(-radius, radius + 1):
+        lo, hi = _column_bounds(cone, x, m, radius)
+        ys: Sequence[int]
+        if lattice.rank < 2:
+            ys = [y for y in range(lo, hi + 1) if lattice.contains((x, y))]
+        elif (col := lattice.column(x)) is None:
+            ys = range(0)
+        else:
+            y0, s = col
+            ys = range(lo + (y0 - lo) % s, hi + 1, s)
+        columns.append((x, ys))
+    return columns
+
+
+def _flood_non_members(
+    cone: ConeData,
+    gens: Sequence[Vector],
+    columns: list[tuple[int, range]],
+    radius: int,
+) -> list[Vector] | None:
+    """The non-members among the points of ``columns`` for a pointed cone,
+    in scan order, from one flood; None when its table exceeds
+    ``DEFAULT_NODE_BUDGET`` cells.
+
+    A cell is a pair of facet coordinates (a, b) = (f1.p, f2.p), which
+    determine p.  Every nonzero generator steps both up by (f1.g, f2.g) >= 0,
+    so the partial sums of any combination for v stay within
+    [0, f1.v] x [0, f2.v]: a flood from 0 over [0, A] x [0, B], with A and B
+    the largest coordinates of the points looked up, marks exactly the
+    members among them.  Rows of B + 1 open cells are padded by the largest
+    step in each coordinate with closed cells, so no step needs a bounds
+    test; and since every step goes to a higher index, one sweep in index
+    order, which jumps from marked cell to marked cell, is the flood.
+    """
+    (f1x, f1y), (f2x, f2y) = cone.facets
+    parts = []
+    top_a = top_b = 0
+    for x, ys in columns:
+        # the points with a < 0 or b < 0 (m < 0 only) lie outside the cone
+        lo, hi = _column_bounds(cone, x, 0, radius)
+        i = len(range(ys.start, min(lo, ys.stop), ys.step))
+        j = max(i, len(range(ys.start, min(hi + 1, ys.stop), ys.step)))
+        inside = ys[i:j]
+        if inside:
+            for y in (inside[0], inside[-1]):
+                top_a = max(top_a, f1x * x + f1y * y)
+                top_b = max(top_b, f2x * x + f2y * y)
+        parts.append((x, ys[:i], inside, ys[j:]))
+    steps = {(f1x * gx + f1y * gy, f2x * gx + f2y * gy) for gx, gy in gens}
+    steps.discard((0, 0))
+    pad_a, pad_b = max(da for da, _ in steps), max(db for _, db in steps)
+    width = top_b + 1 + pad_b
+    cells = (top_a + 1 + pad_a) * width
+    if cells > DEFAULT_NODE_BUDGET:
+        return None
+    closed = b"\x02"
+    row = bytes(top_b + 1) + closed * pad_b
+    table = bytearray(row * (top_a + 1) + closed * (pad_a * width))
+    offsets = [da * width + db for da, db in steps]
+    table[0] = 1
+    p = 0
+    while p >= 0:
+        for off in offsets:
+            if not table[p + off]:
+                table[p + off] = 1
+        p = table.find(1, p + 1)
+    bad: list[Vector] = []
+    for x, below, inside, above in parts:
+        bad += ((x, y) for y in below)
+        if inside:
+            # the column's cells form one arithmetic progression of indices
+            y, n = inside[0], len(inside)
+            first = (f1x * x + f1y * y) * width + f2x * x + f2y * y
+            step = (f1y * width + f2y) * inside.step if n > 1 else 1
+            last = first + (n - 1) * step
+            marks = table[min(first, last) : max(first, last) + 1 : abs(step)]
+            if step < 0:
+                marks.reverse()
+            if 0 in marks:
+                bad += ((x, y) for y, mark in zip(inside, marks) if not mark)
+        bad += ((x, y) for y in above)
+    return bad
+
+
 def ditc_falsification_scan(
     vas: VasSystem,
     m: int,
@@ -487,36 +609,48 @@ def ditc_falsification_scan(
     m-deep lattice members and report any that are not integer-cone members.
 
     An empty report is evidence (not proof) that m is deep enough for this
-    instance; undecided points are listed separately, never counted as clean.
+    instance; undecided points are listed separately, never counted as
+    clean.  Counterexamples come column by column (x ascending), y ascending
+    within a column.  For a lattice of rank 2 each column's lattice points
+    are stepped from the echelon, not tested one by one.  How membership is
+    decided depends on the cone:
+
+    - full plane: every lattice point is a member, so nothing is searched;
+    - pointed cone: one flood from 0 over the generators, in facet
+      coordinates truncated at the scanned points, marks the members (see
+      ``_flood_non_members``); a point outside the cone (m < 0) is none;
+    - half-plane, ray, line and zero system, and a pointed cone whose flood
+      table would exceed ``DEFAULT_NODE_BUDGET`` cells: one
+      ``_IntConeSearch.member`` search per point, which may leave a point
+      undecided.
     """
     _require_dim2(vas)
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
     cone = cone_from_generators(vas)
-    search = _IntConeSearch(vas, cone)
-    bad: list[Vector] = []
+    columns = _deep_columns(cone, _LatticeSolver(vas.generators), m, radius)
+    checked = sum(len(ys) for _, ys in columns)
+    bad: list[Vector] | None = None
     undecided: list[Vector] = []
-    checked = 0
-    for x in range(-radius, radius + 1):
-        # the m-deep points of column x: a*x + b*y >= m for each facet (a, b)
-        lo, hi = -radius, radius
-        for a, b in cone.facets:
-            if b > 0:
-                lo = max(lo, -((a * x - m) // b))
-            elif b < 0:
-                hi = min(hi, (a * x - m) // -b)
-            elif a * x < m:
-                hi = lo - 1
-        for y in range(lo, hi + 1):
-            v = (x, y)
-            if not search.lattice.contains(v):
-                continue
-            checked += 1
-            res = search.member(v)
-            if res.status is Membership.NON_MEMBER:
-                bad.append(v)
-            elif res.status is Membership.UNDECIDED:
-                undecided.append(v)
+    if cone.kind is ConeKind.FULL_PLANE:
+        # the integer cone is the lattice: -sum(g) is a nonnegative rational
+        # combination sum(q_i g_i), so sum(N_i g_i) = 0 for the integers
+        # N_i = D * (1 + q_i) >= 1 (D a common denominator).  Then each -g_j
+        # = (N_j - 1) g_j + sum over i != j of N_i g_i is in the monoid, which
+        # is therefore a group
+        bad = []
+    elif cone.kind is ConeKind.PROPER_CONE:
+        bad = _flood_non_members(cone, vas.generators, columns, radius)
+    if bad is None:
+        search = _IntConeSearch(vas, cone)
+        bad = []
+        for x, ys in columns:
+            for y in ys:
+                status = search.member((x, y)).status
+                if status is Membership.NON_MEMBER:
+                    bad.append((x, y))
+                elif status is Membership.UNDECIDED:
+                    undecided.append((x, y))
     return DitcScanReport(
         counterexamples=tuple(bad),
         undecided=tuple(undecided),
@@ -530,7 +664,9 @@ def compute_seed(vas: VasSystem) -> SeedVector:
 
     Either some generator is already strictly positive, or an axis generator
     (x, 0) is combined with a (x', y'), y' > 0 generator via the staircase
-    path u1^(-x') u2 u1^(-x'+1); the axis-swapped case is symmetric.
+    path u1^(-x') u2 u1^(-x'+1); the axis-swapped case is symmetric.  A
+    staircase of more than ``DEFAULT_NODE_BUDGET`` steps raises
+    ``ResourceBudgetError`` before it is built.
     """
     _require_dim2(vas)
     gens = vas.generators
@@ -572,6 +708,13 @@ def compute_seed(vas: VasSystem) -> SeedVector:
             )
         # with no strictly positive generator, along <= 0 here
         along, up = gens[i2][axis], gens[i2][1 - axis]
+        length = 2 * -along + 2  # the path below
+        if length > DEFAULT_NODE_BUDGET:
+            raise ResourceBudgetError(
+                f"seed path of {length} steps exceeds node budget "
+                f"{DEFAULT_NODE_BUDGET}",
+                DEFAULT_NODE_BUDGET,
+            )
         pumped = (-2 * along + 1) * gens[i1][axis] + along
         s = (pumped, up) if axis == 0 else (up, pumped)
         return package(s, [i1] * (-along) + [i2] + [i1] * (-along + 1))

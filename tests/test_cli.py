@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -555,3 +556,16 @@ def test_tracing_call_sites_resolve():
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
     assert isinstance(core.PathRecord.__dict__["record"], classmethod)
+
+
+@pytest.mark.parametrize("entry", [-(2**63), -(10**11)])
+def test_cli_seed_path_over_budget_exits_4(tmp_path, capsys, entry):
+    # the staircase path has 2 * |entry| + 2 steps; it is refused before
+    # the list is built, where it used to raise OverflowError or MemoryError
+    inst = tmp_path / "far.vas"
+    inst.write_text(f"vas 2\n4 -2\n-3 -4\n4 0\n{entry} 3\n")
+    started = time.monotonic()
+    code, env, err = run_json(capsys, ["seed", "--instance", str(inst)])
+    assert time.monotonic() - started < 1
+    assert (code, env) == (4, None)
+    assert err == f"seed path of {2 * -entry + 2} steps exceeds node budget 10000000\n"

@@ -14,6 +14,7 @@ from boxvas import (
     Membership,
     PreconditionError,
     QuadrantRelation,
+    ResourceBudgetError,
     VasSystem,
     compute_seed,
     cone_from_generators,
@@ -438,6 +439,139 @@ def test_ditc_scan_matches_per_point_scan():
         assert got == per_point_scan(vas, m, radius), (vas, m, radius)
 
 
+def kind_vas(rng, kind):
+    """A random 2-VAS whose cone is of ``kind``, entries up to 12; about
+    one in three has every x entry scaled by 2 or 3 (lattice index > 1).
+    Half-planes keep entries up to 4: their per-point search exhausts a box
+    for each non-member, whose sides grow with the entries."""
+    while True:
+        d = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if kind in (ConeKind.PROPER_CONE, ConeKind.FULL_PLANE):
+            gens = random_vas(rng, 2, rng.choice([3, 6, 12]), 5).generators
+        elif kind is ConeKind.HALF_PLANE:
+            # the line of d, and generators on its left
+            side = [(x, y) for x, y in ((rng.randint(-4, 4), rng.randint(-4, 4))
+                                        for _ in range(rng.randint(1, 3)))
+                    if d[0] * y - d[1] * x > 0]
+            gens = [d, (-2 * d[0], -2 * d[1])] + side
+        elif kind is ConeKind.RAY:
+            gens = [(k * d[0], k * d[1]) for k in rng.sample(range(1, 4), 2)]
+        elif kind is ConeKind.LINE:
+            gens = [d, (-rng.randint(1, 3) * d[0], -rng.randint(1, 3) * d[1])]
+        else:
+            gens = [(0, 0)]
+        if rng.random() < 1 / 3:
+            k = rng.choice([2, 3])
+            gens = [(k * x, y) for x, y in gens]
+        vas = VasSystem(2, tuple(gens))
+        if cone_from_generators(vas).kind is kind:
+            return vas
+
+
+# (kind, systems): the per-point reference is slowest on full planes
+SCAN_KINDS = [
+    (ConeKind.PROPER_CONE, 40),
+    (ConeKind.FULL_PLANE, 5),
+    (ConeKind.HALF_PLANE, 12),
+    (ConeKind.RAY, 10),
+    (ConeKind.LINE, 10),
+    (ConeKind.ZERO_ONLY, 3),
+]
+
+
+def scan_tuple(report):
+    return report.counterexamples, report.undecided, report.deep_lattice_points
+
+
+def test_lattice_column_matches_contains():
+    rng = random.Random(41)
+    for _ in range(30):
+        vas = kind_vas(rng, rng.choice([ConeKind.PROPER_CONE, ConeKind.HALF_PLANE]))
+        lattice = geometry._LatticeSolver(vas.generators)
+        assert lattice.rank == 2
+        for x in range(-8, 9):
+            col = lattice.column(x)
+            ys = [y for y in range(-8, 9) if lattice.contains((x, y))]
+            if col is None:
+                assert ys == [], (vas, x)
+            else:
+                y0, s = col
+                assert 0 <= y0 < s
+                assert ys == [y for y in range(-8, 9) if (y - y0) % s == 0], (vas, x)
+
+
+@pytest.mark.parametrize("kind, count", SCAN_KINDS, ids=lambda v: getattr(v, "value", v))
+def test_ditc_flood_matches_per_point_scan(kind, count):
+    rng = random.Random(f"flood {kind.value}")
+    for _ in range(count):
+        vas = kind_vas(rng, kind)
+        m, radius = rng.randint(-5, 20), rng.randint(0, 20)
+        got = scan_tuple(ditc_falsification_scan(vas, m, radius))
+        assert got == per_point_scan(vas, m, radius), (vas, m, radius)
+
+
+def test_ditc_flood_reports_points_outside_the_cone():
+    # m < 0 admits lattice points outside the cone: counterexamples, listed
+    # in column order around the in-cone members of their column
+    vas = VasSystem(2, ((1, 0), (1, 2)))
+    report = ditc_falsification_scan(vas, -2, 3)
+    assert scan_tuple(report) == per_point_scan(vas, -2, 3)
+    assert (1, -2) in report.counterexamples and (0, 2) in report.counterexamples
+
+
+def test_ditc_flood_falls_back_over_budget(monkeypatch):
+    rng = random.Random(43)
+    systems = [kind_vas(rng, ConeKind.PROPER_CONE) for _ in range(6)]
+    systems.append(VasSystem(2, ((-1, 2), (2, -1), (10, 10))))
+    cases = [(vas, rng.randint(-5, 8), rng.randint(4, 16)) for vas in systems]
+    flooded = [ditc_falsification_scan(vas, m, r) for vas, m, r in cases]
+    searched = []
+    member = geometry._IntConeSearch.member
+
+    def spy(self, v):
+        searched.append(v)
+        return member(self, v)
+
+    monkeypatch.setattr(geometry._IntConeSearch, "member", spy)
+    # the smallest table is 1 cell; a budget of 0 refuses every flood
+    monkeypatch.setattr(geometry, "DEFAULT_NODE_BUDGET", 0)
+    for (vas, m, r), report in zip(cases, flooded):
+        del searched[:]
+        assert ditc_falsification_scan(vas, m, r) == report, (vas, m, r)
+        assert len(searched) == report.deep_lattice_points, (vas, m, r)
+    # a budget of exactly ex1's table still floods it: 175 x 175 cells at
+    # m = 0 and radius 48, with 30 padding rows and columns
+    ex1 = systems[-1]
+    monkeypatch.setattr(geometry, "DEFAULT_NODE_BUDGET", 175 * 175)
+    del searched[:]
+    ditc_falsification_scan(ex1, 0, 48)
+    assert searched == []
+    monkeypatch.setattr(geometry, "DEFAULT_NODE_BUDGET", 175 * 175 - 1)
+    assert ditc_falsification_scan(ex1, 0, 48).deep_lattice_points == len(searched)
+
+
+def test_ditc_scan_searches_only_flat_cones(monkeypatch):
+    searched = []
+    member = geometry._IntConeSearch.member
+
+    def spy(self, v):
+        searched.append(v)
+        return member(self, v)
+
+    monkeypatch.setattr(geometry._IntConeSearch, "member", spy)
+    rng = random.Random(47)
+    for kind in (ConeKind.PROPER_CONE, ConeKind.FULL_PLANE):
+        for _ in range(10):
+            vas = kind_vas(rng, kind)
+            report = ditc_falsification_scan(vas, rng.randint(-5, 20), 12)
+            assert searched == [], vas
+            assert report.undecided == ()
+    # the spy sees the searches that half-planes still make
+    vas = kind_vas(rng, ConeKind.HALF_PLANE)
+    report = ditc_falsification_scan(vas, 0, 6)
+    assert len(searched) == report.deep_lattice_points > 0
+
+
 def test_seed_example1(ex1):
     seed = compute_seed(ex1)
     assert seed.s == (10, 10)
@@ -451,6 +585,15 @@ def test_seed_staircase():
     seed = compute_seed(vas)
     assert seed.s == (8, 2)
     assert is_box_reaching_trace(vas, seed.witness.indices, seed.s)
+
+
+def test_seed_staircase_length_is_budgeted(monkeypatch):
+    vas = VasSystem(2, ((3, 0), (-1, 2)))  # a staircase of 4 steps
+    monkeypatch.setattr(geometry, "DEFAULT_NODE_BUDGET", 4)
+    assert len(compute_seed(vas).witness) == 4
+    monkeypatch.setattr(geometry, "DEFAULT_NODE_BUDGET", 3)
+    with pytest.raises(ResourceBudgetError):
+        compute_seed(vas)
 
 
 def test_seed_degenerate():
