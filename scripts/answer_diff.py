@@ -130,10 +130,10 @@ def sweep_ops(perfbench: Path, work: Path) -> list[dict]:
     only a negative M scans, are left to the tier-1 tests.  The proper
     cones and full planes also run ``threshold --m 0 --validate-radius 20``:
     a larger flood on the cones, and on the planes a scan of up to 1,681
-    lattice points that searches none of them.  Half-planes do not, since their scan still
-    searches each point and took 11-22 s at radius 8 on two of them.  Each
-    also runs a proof-case-1 ``witness``
-    under ``--m 0`` whose evidence forces the integer-cone solve: the cone
+    lattice points that searches none of them.  Half-planes do not, since
+    their scan still searches each point and took 11-22 s at radius 8 on
+    two of them.  Each also runs a proof-case-1 ``witness`` under ``--m 0``
+    whose evidence forces the integer-cone solve: the cone
     evidence holds no copy of the strictly positive p (it sums the
     extremals to at least W in both coordinates), and the plane evidence
     adds a million cancelling copies of u and -u to p.

@@ -519,21 +519,28 @@ def test_ditc_flood_reports_points_outside_the_cone():
     assert (1, -2) in report.counterexamples and (0, 2) in report.counterexamples
 
 
-def test_ditc_flood_falls_back_over_budget(monkeypatch):
+@pytest.fixture
+def searched(monkeypatch):
+    """The points that ``_IntConeSearch.member`` is asked about."""
+    points = []
+    member = geometry._IntConeSearch.member
+
+    def spy(self, v):
+        points.append(v)
+        return member(self, v)
+
+    monkeypatch.setattr(geometry._IntConeSearch, "member", spy)
+    return points
+
+
+def test_ditc_flood_falls_back_over_budget(monkeypatch, searched):
     rng = random.Random(43)
     systems = [kind_vas(rng, ConeKind.PROPER_CONE) for _ in range(6)]
     systems.append(VasSystem(2, ((-1, 2), (2, -1), (10, 10))))
     cases = [(vas, rng.randint(-5, 8), rng.randint(4, 16)) for vas in systems]
     flooded = [ditc_falsification_scan(vas, m, r) for vas, m, r in cases]
-    searched = []
-    member = geometry._IntConeSearch.member
-
-    def spy(self, v):
-        searched.append(v)
-        return member(self, v)
-
-    monkeypatch.setattr(geometry._IntConeSearch, "member", spy)
-    # the smallest table is 1 cell; a budget of 0 refuses every flood
+    assert searched == []
+    # a budget of 0 refuses every flood
     monkeypatch.setattr(geometry, "DEFAULT_NODE_BUDGET", 0)
     for (vas, m, r), report in zip(cases, flooded):
         del searched[:]
@@ -550,15 +557,7 @@ def test_ditc_flood_falls_back_over_budget(monkeypatch):
     assert ditc_falsification_scan(ex1, 0, 48).deep_lattice_points == len(searched)
 
 
-def test_ditc_scan_searches_only_flat_cones(monkeypatch):
-    searched = []
-    member = geometry._IntConeSearch.member
-
-    def spy(self, v):
-        searched.append(v)
-        return member(self, v)
-
-    monkeypatch.setattr(geometry._IntConeSearch, "member", spy)
+def test_ditc_scan_never_searches_pointed_cones_or_full_planes(searched):
     rng = random.Random(47)
     for kind in (ConeKind.PROPER_CONE, ConeKind.FULL_PLANE):
         for _ in range(10):
