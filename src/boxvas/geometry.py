@@ -302,16 +302,15 @@ class _LatticeSolver:
         self._pivots = pivots
         self.rank = len(pivots)
 
-    def column(self, x: int) -> tuple[int, int] | None:
-        """For 2-D generators of rank 2: (y0, s) with s > 0 such that the
-        lattice points of column x are the (x, y) with y = y0 mod s, or None
-        when column x holds none.  The echelon rows are (p, q) and (0, s):
-        x must be a multiple k of p, and then y steps by s from k * q."""
+    def column(self, x: int, lo: int, hi: int) -> range:
+        """For 2-D generators of rank 2: the y in [lo, hi] of the lattice
+        points (x, y), ascending.  The echelon rows are (p, q) and (0, s):
+        x must be a multiple k of p, and then y steps by |s| from k * q."""
         (p, q), (_, s) = self._rows[:2]
         k, rem = divmod(x, p)
         if rem:
-            return None
-        return k * q % abs(s), abs(s)
+            return range(0)
+        return range(lo + (k * q - lo) % abs(s), hi + 1, abs(s))
 
     def contains(self, v: Vector) -> bool:
         """Whether v is an integer combination of the generators."""
@@ -519,13 +518,10 @@ def _deep_columns(
     for x in range(-radius, radius + 1):
         lo, hi = _column_bounds(cone, x, m, radius)
         ys: Sequence[int]
-        if lattice.rank < 2:
-            ys = [y for y in range(lo, hi + 1) if lattice.contains((x, y))]
-        elif (col := lattice.column(x)) is None:
-            ys = range(0)
+        if lattice.rank == 2:
+            ys = lattice.column(x, lo, hi)
         else:
-            y0, s = col
-            ys = range(lo + (y0 - lo) % s, hi + 1, s)
+            ys = [y for y in range(lo, hi + 1) if lattice.contains((x, y))]
         columns.append((x, ys))
     return columns
 
@@ -554,7 +550,8 @@ def _flood_non_members(
     parts = []
     top_a = top_b = 0
     for x, ys in columns:
-        # the points with a < 0 or b < 0 (m < 0 only) lie outside the cone
+        # the points with a < 0 or b < 0 (m < 0 only) lie outside the cone:
+        # the i below its part [lo, hi] of the column, and those from j on
         lo, hi = _column_bounds(cone, x, 0, radius)
         i = len(range(ys.start, min(lo, ys.stop), ys.step))
         j = max(i, len(range(ys.start, min(hi + 1, ys.stop), ys.step)))
